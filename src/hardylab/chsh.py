@@ -27,8 +27,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .correlations import CorrelationSet, batch_probabilities, correlation_set, joint_distribution
-from .hardy import DEGENERATE_BETA0_TOL, DegenerateBeta0
-from .qstate import DomainError, ExperimentConfig
+from .hardy import DEGENERATE_BETA0_TOL, DegenerateBeta0, NotPartiallyEntangled, _entanglement_defect
+from .qstate import DomainError, ExperimentConfig, make_state
 
 __all__ = [
     "GOLDEN_MEAN",
@@ -59,8 +59,6 @@ OPTIMAL_C1_SQUARED = 0.177352
 OPTIMAL_BETA0_DEG = 17.5566
 
 VIOLATION_TOL = 1e-9
-
-_SINGULAR_AXIS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,9 +126,9 @@ def _five_term_delta(x, tan_sq, cot_sq, cos_sq):
 def delta_closed_form(c1_squared: float, beta0: float) -> float:
     """CHSH parameter of the Hardy-solved experiment at (c1^2, beta0).
 
-    Defined on 0 < c1_squared < 1 with beta0 away from multiples of
-    pi/2; the excluded points form the degenerate locus where the
-    parameter's limiting value is 2 (reported as such by scan_surface).
+    Defined where solve_hardy is: partially entangled states, beta0 away
+    from multiples of pi/2. The excluded points form the degenerate locus
+    where the limiting value is 2 (reported as such by scan_surface).
     """
     c1_squared = float(c1_squared)
     beta0 = float(beta0)
@@ -138,6 +136,9 @@ def delta_closed_form(c1_squared: float, beta0: float) -> float:
         raise DomainError(
             f"c1_squared must lie strictly inside (0, 1), got {c1_squared!r}"
         )
+    defect = _entanglement_defect(make_state(c1_squared))
+    if defect:
+        raise NotPartiallyEntangled(defect)
     if abs(math.sin(2.0 * beta0)) < DEGENERATE_BETA0_TOL:
         raise DegenerateBeta0(
             f"beta0 = {beta0!r} rad is too close to a multiple of pi/2"
@@ -156,8 +157,8 @@ def delta_closed_form(c1_squared: float, beta0: float) -> float:
 class ScanGrid:
     """Uniform grid over the (c1^2, beta0) rectangle.
 
-    Axes include both endpoints. Cells on the degenerate locus
-    (c1^2 in {0, 0.5, 1} or beta0 a multiple of 90 deg) carry
+    Axes include both endpoints. Cells on the degenerate locus (product
+    or maximally entangled c1^2, or beta0 a multiple of 90 deg) carry
     delta = 2, p_hardy = 0, and the degenerate flag; every other cell
     satisfies delta = 2 + 4 p_hardy to rounding.
     """
@@ -200,11 +201,9 @@ def _scan_block(c1sq: np.ndarray, beta0: np.ndarray):
     """delta, p_hardy, degenerate arrays for one block of c1^2 values."""
     x = c1sq[:, None]
     b = beta0[None, :]
-    degenerate = (
-        (np.abs(x) < _SINGULAR_AXIS_TOL)
-        | (np.abs(x - 0.5) < _SINGULAR_AXIS_TOL)
-        | (np.abs(x - 1.0) < _SINGULAR_AXIS_TOL)
-        | (np.abs(np.sin(2.0 * b)) < DEGENERATE_BETA0_TOL)
+    off_domain = [_entanglement_defect(make_state(v)) is not None for v in c1sq]
+    degenerate = np.array(off_domain)[:, None] | (
+        np.abs(np.sin(2.0 * b)) < DEGENERATE_BETA0_TOL
     )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tan = np.tan(b)
@@ -262,14 +261,6 @@ def scan_surface(
 # ---------- optimizer ----------
 
 
-def _valid_point(x: float, beta0: float) -> bool:
-    return (
-        0.0 < x < 1.0
-        and abs(x - 0.5) > _SINGULAR_AXIS_TOL
-        and abs(math.sin(2.0 * beta0)) >= DEGENERATE_BETA0_TOL
-    )
-
-
 def optimize_delta(
     coarse_c1_sq_steps: int = 201, coarse_beta0_steps: int = 181
 ) -> tuple[float, float, float]:
@@ -291,9 +282,10 @@ def optimize_delta(
         improved = False
         for dx, db in ((step_x, 0.0), (-step_x, 0.0), (0.0, step_b), (0.0, -step_b)):
             nx, nb = x + dx, beta0 + db
-            if not _valid_point(nx, nb):
+            try:
+                value = delta_closed_form(nx, nb)
+            except DomainError:
                 continue
-            value = delta_closed_form(nx, nb)
             if value > best:
                 x, beta0, best = nx, nb, value
                 improved = True

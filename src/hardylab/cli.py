@@ -469,7 +469,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def quadrature_error(errors) -> float:
     """Propagated one-sigma error of lhs - (a + b + c): root sum of squares."""
-    return math.sqrt(sum(float(e) ** 2 for e in errors))
+    try:
+        sigmas = [float(e) for e in errors]
+    except (TypeError, ValueError):
+        raise DomainError(f"errors must be numbers, got {errors!r}") from None
+    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+        raise DomainError(f"errors must be finite and non-negative, got {errors!r}")
+    return math.sqrt(sum(s**2 for s in sigmas))
 
 
 def inequality_margin(values) -> Decimal:
@@ -479,9 +485,11 @@ def inequality_margin(values) -> Decimal:
     Decimals; strings keep quoted experimental numbers exact.
     """
     try:
-        lhs, a, b, c = (Decimal(v) for v in values)
+        lhs, a, b, c = probabilities = [Decimal(v) for v in values]
     except (InvalidOperation, ValueError, TypeError):
         raise DomainError(f"values must be four decimal numbers, got {values!r}") from None
+    if not all(p.is_finite() and 0 <= p <= 1 for p in probabilities):
+        raise DomainError(f"values must be probabilities in [0, 1], got {values!r}")
     return lhs - (a + b + c)
 
 
@@ -507,6 +515,8 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
     errors = tuple(args.errors) if args.errors else (
         TWO_PHOTON_FIXTURE_ERRORS if not args.values else ()
     )
+    margin = inequality_margin(values)
+    std_error = quadrature_error(errors) if errors else None
     source = "values" if args.values else "two-photon fixture"
     manifest = RunManifest(
         "inequality",
@@ -517,16 +527,13 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
         + ((("errors", ",".join(str(e) for e in errors)),) if errors else ()),
     )
     _print_manifest(manifest)
-    margin = inequality_margin(values)
     lhs = Decimal(values[0])
     rhs = lhs - margin
     print(f"lhs = {lhs}")
     print(f"rhs = {rhs}")
     print(f"margin = {margin}")
-    if errors:
-        if len(errors) != 4:
-            raise DomainError("--errors needs exactly 4 numbers")
-        print(f"margin_std_error = {_fmt(quadrature_error(errors))}")
+    if std_error is not None:
+        print(f"margin_std_error = {_fmt(std_error)}")
     print(f"violated = {_flag(margin > 0)}")
     return 0
 

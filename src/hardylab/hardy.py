@@ -158,6 +158,19 @@ class HardySolution:
         return check_hardy(self.config(), self.variant).p_d
 
 
+def _entanglement_defect(state: SchmidtState) -> str | None:
+    """Why state admits no Hardy solution, or None if it is partially entangled.
+
+    The one Hardy-domain test on the state, shared by solve_hardy,
+    chsh.delta_closed_form, the scan and the optimizer so that they agree.
+    """
+    cls = entanglement_class(state)
+    if cls is EntanglementClass.PARTIAL:
+        return None
+    kind = "maximally entangled" if cls is EntanglementClass.MAXIMAL else "product"
+    return f"{kind} state admits no Hardy solution"
+
+
 def solve_vanishing_condition(ratio_a: float) -> float:
     """Root of the vanishing criterion for an equal-outcome probability.
 
@@ -189,10 +202,9 @@ def solve_hardy(
     states, and DegenerateBeta0 when beta0 is within tolerance of a
     multiple of pi/2 (the chain needs both tan(beta0) and cot(beta0)).
     """
-    cls = entanglement_class(state)
-    if cls is not EntanglementClass.PARTIAL:
-        kind = "maximally entangled" if cls is EntanglementClass.MAXIMAL else "product"
-        raise NotPartiallyEntangled(f"{kind} state admits no Hardy solution")
+    defect = _entanglement_defect(state)
+    if defect:
+        raise NotPartiallyEntangled(defect)
     if not math.isfinite(beta0):
         raise DomainError(f"beta0 must be finite, got {beta0!r}")
     if abs(math.sin(2.0 * beta0)) < DEGENERATE_BETA0_TOL:

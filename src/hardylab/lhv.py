@@ -19,12 +19,11 @@ without tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -125,8 +124,8 @@ class MixtureStrategy:
         for weight, assignment in components:
             if not isinstance(assignment, DeterministicAssignment):
                 raise DomainError(f"not an assignment: {assignment!r}")
-            if weight < 0:
-                raise DomainError(f"negative weight {weight!r}")
+            if not weight >= 0:
+                raise DomainError(f"negative weight or NaN: {weight!r}")
         total = sum(weight for weight, _ in components)
         if abs(float(total) - 1.0) > _WEIGHT_SUM_TOL:
             raise DomainError(f"weights sum to {float(total)!r}, expected 1")
@@ -152,6 +151,8 @@ class StochasticStrategy:
         object.__setattr__(self, "breakpoints", points)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "responses", responses)
+        if not all(map(math.isfinite, points + densities)):
+            raise DomainError("breakpoints and densities must be finite numbers")
         if len(points) < 2:
             raise DomainError("need at least one segment")
         if abs(points[0]) > _WEIGHT_SUM_TOL or abs(points[-1] - 1.0) > _WEIGHT_SUM_TOL:
@@ -376,75 +377,21 @@ def local_realism_forcing(e11: float, e12: float, e21: float, tol: float = 1e-9)
 # ---------- exact feasibility over the local polytope ----------
 
 
-def _correlation_vertices() -> tuple[tuple[int, int, int, int], ...]:
-    # Global outcome flips preserve all products, so the 16 assignments
-    # land on 8 distinct correlation vectors.
-    seen: dict[tuple[int, int, int, int], None] = {}
-    for a in ALL_ASSIGNMENTS:
-        seen.setdefault((a.a1 * a.b1, a.a1 * a.b2, a.a2 * a.b1, a.a2 * a.b2), None)
-    return tuple(seen)
-
-
-_VERTICES = _correlation_vertices()
-
-
-def _exact_nonneg_combination(
-    vertices: Sequence[tuple[int, int, int, int]], target: Sequence[Fraction]
-) -> bool:
-    """Exact test for target = sum w_i v_i with w_i >= 0, sum w_i = 1.
-
-    Gaussian elimination over Fractions on the 5 x (s+1) system (four
-    coordinates plus the affine constraint). Rank-deficient subsets are
-    skipped: any point they cover is covered by one of their proper
-    subsets as well.
-    """
-    s = len(vertices)
-    rows = [[Fraction(v[i]) for v in vertices] + [target[i]] for i in range(4)]
-    rows.append([Fraction(1)] * s + [Fraction(1)])
-
-    pivot_rows: list[int] = []
-    row_used = [False] * 5
-    for col in range(s):
-        pivot = next(
-            (r for r in range(5) if not row_used[r] and rows[r][col] != 0), None
-        )
-        if pivot is None:
-            return False  # rank-deficient: defer to smaller subsets
-        row_used[pivot] = True
-        pivot_rows.append(pivot)
-        inv = 1 / rows[pivot][col]
-        rows[pivot] = [value * inv for value in rows[pivot]]
-        for r in range(5):
-            if r != pivot and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot])]
-    # Consistency: rows without pivots must have vanished entirely.
-    for r in range(5):
-        if not row_used[r] and rows[r][s] != 0:
-            return False
-    weights = [rows[pivot_rows[col]][s] for col in range(s)]
-    return all(w >= 0 for w in weights)
-
-
 def is_locally_realizable(e11, e12, e21, e22) -> bool:
     """Whether a correlation quadruple is reachable by some local model.
 
-    Membership in the convex hull of the deterministic-assignment
-    correlation vectors, decided in exact rational arithmetic by
-    enumerating candidate supports of at most 5 vertices. Floats are
-    converted to Fractions exactly, so there is no tolerance anywhere.
+    By Fine's theorem (A. Fine, PRL 48, 291 (1982)) the local
+    correlation polytope has exactly 16 facets: the 8 bounds
+    |e_kl| <= 1 and the 8 CHSH inequalities |S - 2 e_kl| <= 2, with
+    S = e11 + e12 + e21 + e22. Floats are converted to Fractions
+    exactly, so there is no tolerance anywhere.
     """
     try:
         target = [Fraction(v) for v in (e11, e12, e21, e22)]
-    except (TypeError, ValueError) as exc:
-        raise DomainError("correlations must be real numbers") from exc
-    if any(abs(t) > 1 for t in target):
-        return False
-    for size in range(1, 6):
-        for subset in itertools.combinations(_VERTICES, size):
-            if _exact_nonneg_combination(subset, target):
-                return True
-    return False
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError("correlations must be finite real numbers") from exc
+    total = sum(target)
+    return all(abs(e) <= 1 and abs(total - 2 * e) <= 2 for e in target)
 
 
 # ---------- strategy files (key = value text) ----------

@@ -3,7 +3,9 @@
 Probabilities are computed here from explicit complex state-vector
 amplitudes: build the two-qubit vector, build each measurement's
 eigenvectors, and square the inner product. No trigonometric closed
-forms are shared with the package, so agreement is meaningful.
+forms are shared with the package, so agreement is meaningful. The
+local polytope is described here by its vertices, while the package
+tests its facets. Nothing here imports hardylab.
 """
 
 from __future__ import annotations
@@ -71,20 +73,50 @@ CORRELATION_VERTICES = tuple(
 )
 
 
-def chsh_facet_membership(e11, e12, e21, e22) -> bool:
-    """H-representation check: inside the unit cube and all four
-    one-minus CHSH combinations bounded by 2 in absolute value."""
-    target = [Fraction(v) for v in (e11, e12, e21, e22)]
-    if any(abs(t) > 1 for t in target):
+def _exact_convex_combination(vertices, target) -> bool:
+    """Exact test for target = sum w_i v_i with w_i >= 0, sum w_i = 1.
+
+    Gaussian elimination over Fractions on the 5 x (s+1) system (four
+    coordinates plus the affine constraint). Rank-deficient subsets are
+    rejected: any point they cover is covered by one of their proper
+    subsets as well.
+    """
+    s = len(vertices)
+    rows = [[Fraction(v[i]) for v in vertices] + [target[i]] for i in range(4)]
+    rows.append([Fraction(1)] * s + [Fraction(1)])
+    pivot_rows = []
+    used = [False] * 5
+    for col in range(s):
+        pivot = next((r for r in range(5) if not used[r] and rows[r][col] != 0), None)
+        if pivot is None:
+            return False
+        used[pivot] = True
+        pivot_rows.append(pivot)
+        inv = 1 / rows[pivot][col]
+        rows[pivot] = [value * inv for value in rows[pivot]]
+        for r in range(5):
+            if r != pivot and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot])]
+    if any(not used[r] and rows[r][s] != 0 for r in range(5)):
         return False
-    e11, e12, e21, e22 = target
-    combos = (
-        e11 + e12 + e21 - e22,
-        e11 + e12 - e21 + e22,
-        e11 - e12 + e21 + e22,
-        -e11 + e12 + e21 + e22,
+    return all(rows[pivot_rows[col]][s] >= 0 for col in range(s))
+
+
+def vertex_hull_membership(e11, e12, e21, e22) -> bool:
+    """V-representation check: the target is a convex combination of
+    the correlation vertices.
+
+    By Caratheodory's theorem a point of this 4-dimensional hull lies in
+    the hull of at most 5 affinely independent vertices, so every
+    support of up to 5 vertices is tried, each solved exactly.
+    """
+    target = [Fraction(v) for v in (e11, e12, e21, e22)]
+    return any(
+        _exact_convex_combination(subset, target)
+        for size in range(1, 6)
+        for subset in combinations(CORRELATION_VERTICES, size)
     )
-    return all(abs(c) <= 2 for c in combos)
 
 
 def random_local_mixture(rng: np.random.Generator):

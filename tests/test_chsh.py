@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylab.chsh import (
@@ -23,7 +23,7 @@ from hardylab.chsh import (
     scan_surface,
 )
 from hardylab.correlations import CorrelationSet
-from hardylab.hardy import DegenerateBeta0, solve_hardy
+from hardylab.hardy import DegenerateBeta0, NotPartiallyEntangled, solve_hardy
 from hardylab.qstate import (
     DomainError,
     ExperimentConfig,
@@ -123,9 +123,29 @@ class TestRouteAgreement:
         ) == pytest.approx(1.0, abs=1e-15)
 
 
+# c1^2 values around the two edges of the Hardy domain: near-product
+# states, and states within and just outside the classification
+# tolerance of maximal entanglement.
+domain_edge_c1sq = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-16),
+    st.floats(min_value=0.5 - 2e-9, max_value=0.5 + 2e-9),
+)
+
+
 class TestClosedFormDomain:
-    def test_balanced_state_gives_two(self):
-        assert delta_closed_form(0.5, 0.3) == 2.0
+    @given(c1_squared=domain_edge_c1sq)
+    @example(c1_squared=0.5)
+    @example(c1_squared=0.5 + 1e-11)
+    @example(c1_squared=1e-19)
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_what_solve_hardy_rejects(self, c1_squared):
+        try:
+            solve_hardy(make_state(c1_squared), 0.3)
+        except NotPartiallyEntangled:
+            with pytest.raises(NotPartiallyEntangled):
+                delta_closed_form(c1_squared, 0.3)
+        else:
+            assert math.isfinite(delta_closed_form(c1_squared, 0.3))
 
     @pytest.mark.parametrize("c1_squared", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_boundary_states(self, c1_squared):

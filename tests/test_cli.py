@@ -414,6 +414,21 @@ class TestLhvSim:
         assert code == 1
         assert "cannot read strategy file" in err
 
+    @pytest.mark.parametrize(
+        "breakpoints,density",
+        [("0, 0.5, 1", "nan, 1"), ("0, 0.5, 1", "1, inf"), ("0, nan, 1", "1, 1")],
+    )
+    def test_rejects_non_finite_strategy(self, capsys, tmp_path, breakpoints, density):
+        path = tmp_path / "bad.lhv"
+        path.write_text(
+            f"type = stochastic\nbreakpoints = {breakpoints}\ndensity = {density}\n"
+            "response_1 = 1, 0, 1, 0\nresponse_2 = 0, 1, 0, 1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "lhv-sim", "--strategy", str(path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "must be finite" in err
+
     def test_rejects_zero_trials(self, capsys, anticorrelated_path):
         code, _, err = run_cli(
             capsys, "lhv-sim", "--strategy", anticorrelated_path, "--trials", "0"
@@ -489,12 +504,28 @@ class TestInequality:
         assert float(values["margin"]) > 0.05
         assert values["violated"] == "true"
 
-    def test_rejects_non_decimal_values(self, capsys):
-        code, _, err = run_cli(
-            capsys, "inequality", "--values", "a", "0.1", "0.1", "0.1"
-        )
-        assert code == 1
-        assert "four decimal numbers" in err
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--values", "a", "0.1", "0.1", "0.1"), "four decimal numbers"),
+            (("--values", "nan", "0", "0", "0"), "probabilities in [0, 1]"),
+            (("--values", "inf", "0", "0", "0"), "probabilities in [0, 1]"),
+            (("--values", "-1", "0", "0", "0"), "probabilities in [0, 1]"),
+            (("--values", "0.5", "0", "1.5", "0"), "probabilities in [0, 1]"),
+            (("--values", "0.5", "0", "0", "0", "--errors", "nan", "0", "0", "0"), "finite and non-negative"),
+            (("--values", "0.5", "0", "0", "0", "--errors", "0", "inf", "0", "0"), "finite and non-negative"),
+            (("--values", "0.5", "0", "0", "0", "--errors", "0", "0", "-0.1", "0"), "finite and non-negative"),
+            (("--values", "0.5", "0", "0", "0", "--errors", "0", "0", "0", "e"), "must be numbers"),
+        ],
+        ids=[
+            "non-decimal", "nan", "inf", "negative", "above-one",
+            "errors-nan", "errors-inf", "errors-negative", "errors-non-number",
+        ],
+    )
+    def test_rejects_bad_numbers(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "inequality", *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and message in err
 
     def test_margin_helpers(self):
         assert inequality_margin(TWO_PHOTON_FIXTURE_VALUES) == Decimal("0.0846")

@@ -24,7 +24,7 @@ from hardylab.lhv import (
     strategy_from_text,
 )
 from hardylab.qstate import DomainError
-from oracles import CORRELATION_VERTICES, chsh_facet_membership, random_local_mixture
+from oracles import CORRELATION_VERTICES, random_local_mixture, vertex_hull_membership
 
 PPMM = DeterministicAssignment(1, 1, -1, -1)
 MMPP = DeterministicAssignment(-1, -1, 1, 1)
@@ -32,7 +32,7 @@ ANTICORRELATED = MixtureStrategy(
     components=((Fraction(1, 2), PPMM), (Fraction(1, 2), MMPP))
 )
 
-grid_values = st.integers(min_value=-8, max_value=8).map(lambda k: Fraction(k, 8))
+grid_values = st.integers(min_value=-10, max_value=10).map(lambda k: Fraction(k, 8))
 
 
 def _correlation_from_joints(strategy, pair):
@@ -79,6 +79,10 @@ class TestMixtureStrategy:
     def test_rejects_negative_weight(self):
         with pytest.raises(DomainError, match="negative weight"):
             MixtureStrategy(components=((-0.5, PPMM), (1.5, MMPP)))
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(DomainError, match="NaN"):
+            MixtureStrategy(components=((math.nan, PPMM), (1.0, MMPP)))
 
     def test_rejects_bad_total(self):
         with pytest.raises(DomainError, match="weights sum to"):
@@ -242,6 +246,22 @@ class TestStochasticStrategy:
             (
                 dict(breakpoints=(0.0, 1.0), densities=(0.5,), responses=((0.5,) * 4,)),
                 "integrates to",
+            ),
+            (
+                dict(breakpoints=(0.0, 1.0), densities=(math.nan,), responses=((0.5,) * 4,)),
+                "must be finite",
+            ),
+            (
+                dict(breakpoints=(0.0, 0.5, 1.0), densities=(math.inf, 1.0), responses=((0.5,) * 4,) * 2),
+                "must be finite",
+            ),
+            (
+                dict(breakpoints=(0.0, math.nan, 1.0), densities=(1.0, 1.0), responses=((0.5,) * 4,) * 2),
+                "must be finite",
+            ),
+            (
+                dict(breakpoints=(0.0, 0.5, math.inf), densities=(1.0, 0.0), responses=((0.5,) * 4,) * 2),
+                "must be finite",
             ),
         ],
     )
@@ -415,8 +435,9 @@ class TestLocalPolytope:
         assert not is_locally_realizable(1.5, 0, 0, 0)
 
     def test_rejects_non_numbers(self):
-        with pytest.raises(DomainError, match="real numbers"):
-            is_locally_realizable("a", 0, 0, 0)
+        for bad in ("a", math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="real numbers"):
+                is_locally_realizable(bad, 0, 0, 0)
 
     def test_random_exact_mixtures_are_realizable(self):
         rng = np.random.default_rng(101)
@@ -427,7 +448,7 @@ class TestLocalPolytope:
     @given(e11=grid_values, e12=grid_values, e21=grid_values, e22=grid_values)
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_facet_description(self, e11, e12, e21, e22):
-        assert is_locally_realizable(e11, e12, e21, e22) == chsh_facet_membership(
+        assert is_locally_realizable(e11, e12, e21, e22) == vertex_hull_membership(
             e11, e12, e21, e22
         )
 
