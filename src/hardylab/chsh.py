@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .correlations import CorrelationSet, batch_probabilities, correlation_set, joint_distribution
+from .correlations import CorrelationSet, batch_probabilities, correlation_set, pair_distributions
 from .hardy import DEGENERATE_BETA0_TOL, DegenerateBeta0, NotPartiallyEntangled, _entanglement_defect
 from .qstate import DomainError, ExperimentConfig, make_state
 
@@ -94,11 +94,7 @@ def delta_from_probabilities(config: ExperimentConfig) -> float:
     outcomes agree; equivalent to the correlation route through
     E = 2 P= - 1.
     """
-    state = config.state
-    p11 = joint_distribution(state, config.d11, config.d21).equal_outcome
-    p12 = joint_distribution(state, config.d11, config.d22).equal_outcome
-    p21 = joint_distribution(state, config.d12, config.d21).equal_outcome
-    p22 = joint_distribution(state, config.d12, config.d22).equal_outcome
+    p11, p12, p21, p22 = (dist.equal_outcome for dist in pair_distributions(config))
     return 2.0 * abs(p11 + p12 + p21 - p22 - 1.0)
 
 

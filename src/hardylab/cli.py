@@ -32,10 +32,17 @@ from .chsh import (
     optimize_delta,
     scan_surface,
 )
-from .correlations import batch_probabilities, correlation_set, joint_distribution
-from .hardy import ZERO_TOL, HardyVariant, check_hardy, hardy_inequality_lhs_rhs, solve_hardy
-from .lhv import PAIR_ORDER, simulate, strategy_from_text
-from .qstate import DomainError, ExperimentConfig, config_from_file, make_state
+from .correlations import batch_probabilities, pair_distributions
+from .hardy import (
+    ZERO_TOL,
+    HardyCheck,
+    HardyVariant,
+    check_hardy,
+    hardy_inequality_lhs_rhs,
+    solve_hardy,
+)
+from .lhv import simulate, strategy_from_text
+from .qstate import OUTCOME_ORDER, PAIR_ORDER, DomainError, config_from_file, make_state
 
 __all__ = [
     "RunManifest",
@@ -54,8 +61,10 @@ __all__ = [
 TWO_PHOTON_FIXTURE_VALUES = ("0.099", "0.0070", "0.0034", "0.0040")
 TWO_PHOTON_FIXTURE_ERRORS = ("0.002", "0.0005", "0.0004", "0.0004")
 
-_PAIR_NAMES = ("11", "12", "21", "22")
-_OUTCOME_LABELS = (("pp", (1, 1)), ("pm", (1, -1)), ("mp", (-1, 1)), ("mm", (-1, -1)))
+_PAIR_NAMES = tuple(f"{k}{l}" for k, l in PAIR_ORDER)
+_OUTCOME_LABELS = tuple(
+    ("".join("p" if v == 1 else "m" for v in outcome), outcome) for outcome in OUTCOME_ORDER
+)
 
 
 def _fmt(value: float) -> str:
@@ -116,22 +125,16 @@ def _print_manifest(manifest: RunManifest) -> None:
 # ---------- probs / correlation ----------
 
 
-def _pair_settings(config: ExperimentConfig, name: str):
-    k, l = int(name[0]), int(name[1])
-    return config.setting(1, k), config.setting(2, l)
-
-
 def _cmd_probs(args: argparse.Namespace) -> int:
     config = config_from_file(args.config)
-    pairs = (args.pair,) if args.pair else _PAIR_NAMES
     manifest = RunManifest(
         "probs",
         parameters=(("config", args.config), ("pair", args.pair or "all")),
     )
     _print_manifest(manifest)
-    for name in pairs:
-        s1, s2 = _pair_settings(config, name)
-        dist = joint_distribution(config.state, s1, s2)
+    for name, dist in zip(_PAIR_NAMES, pair_distributions(config)):
+        if args.pair not in (None, name):
+            continue
         for label, (m, n) in _OUTCOME_LABELS:
             print(f"p{name}_{label} = {_fmt(dist.probability(m, n))}")
     return 0
@@ -144,21 +147,23 @@ def _cmd_correlation(args: argparse.Namespace) -> int:
         parameters=(("config", args.config), ("pair", args.pair or "all")),
     )
     _print_manifest(manifest)
-    if args.pair:
-        s1, s2 = _pair_settings(config, args.pair)
-        dist = joint_distribution(config.state, s1, s2)
-        print(f"e{args.pair} = {_fmt(dist.expectation)}")
-        return 0
     result = evaluate(config)
-    correlations = result.correlations
-    for name in _PAIR_NAMES:
-        print(f"e{name} = {_fmt(getattr(correlations, f'e{name}'))}")
+    for name in (args.pair,) if args.pair else _PAIR_NAMES:
+        print(f"e{name} = {_fmt(getattr(result.correlations, f'e{name}'))}")
+    if args.pair:
+        return 0
     print(f"delta = {_fmt(result.delta)}")
     print(f"violated = {_flag(result.violated)}")
     return 0
 
 
 # ---------- hardy-solve / hardy-check ----------
+
+
+def _print_check(check: HardyCheck) -> None:
+    for key in ("p_a", "p_b", "p_c", "p_d"):
+        print(f"{key} = {_fmt(getattr(check, key))}")
+    print(f"satisfied = {_flag(check.satisfied)}")
 
 
 def _cmd_hardy_solve(args: argparse.Namespace) -> int:
@@ -168,6 +173,7 @@ def _cmd_hardy_solve(args: argparse.Namespace) -> int:
     config = solution.config()
     check = check_hardy(config, variant)
     f1, f2 = variant.sign_factors
+    settings = [(f"{i}{j}", setting) for (i, j), setting in config.settings.items()]
 
     manifest = RunManifest(
         "hardy-solve",
@@ -180,15 +186,10 @@ def _cmd_hardy_solve(args: argparse.Namespace) -> int:
     _print_manifest(manifest)
 
     print(f"{'setting':<10}{'beta_deg':>20}{'delta_deg':>14}")
-    for name, setting in (
-        ("D11", config.d11),
-        ("D12", config.d12),
-        ("D21", config.d21),
-        ("D22", config.d22),
-    ):
+    for name, setting in settings:
         beta_deg = math.degrees(setting.beta)
         delta_deg = math.degrees(setting.delta)
-        print(f"{name:<10}{_fmt(beta_deg):>20}{_fmt(delta_deg):>14}")
+        print(f"{'D' + name:<10}{_fmt(beta_deg):>20}{_fmt(delta_deg):>14}")
     print()
     conditions = (
         (f"P(D11={-f1:+d}, D21={-f2:+d})", check.p_a, "= 0"),
@@ -203,23 +204,11 @@ def _cmd_hardy_solve(args: argparse.Namespace) -> int:
     print(f"c1_squared = {_fmt(state.c1_squared)}")
     print(f"variant = {variant.value}")
     print(f"beta0_deg = {_fmt(args.beta0_deg)}")
-    for name, setting in (
-        ("11", config.d11),
-        ("12", config.d12),
-        ("21", config.d21),
-        ("22", config.d22),
-    ):
+    for name, setting in settings:
         print(f"beta_{name}_deg = {_fmt(math.degrees(setting.beta))}")
-    for name, setting in (
-        ("11", config.d11),
-        ("12", config.d12),
-        ("21", config.d21),
-        ("22", config.d22),
-    ):
+    for name, setting in settings:
         print(f"delta_{name}_deg = {_fmt(math.degrees(setting.delta))}")
-    for key, value in (("p_a", check.p_a), ("p_b", check.p_b), ("p_c", check.p_c), ("p_d", check.p_d)):
-        print(f"{key} = {_fmt(value)}")
-    print(f"satisfied = {_flag(check.satisfied)}")
+    _print_check(check)
     return 0
 
 
@@ -236,9 +225,7 @@ def _cmd_hardy_check(args: argparse.Namespace) -> int:
         ),
     )
     _print_manifest(manifest)
-    for key, value in (("p_a", check.p_a), ("p_b", check.p_b), ("p_c", check.p_c), ("p_d", check.p_d)):
-        print(f"{key} = {_fmt(value)}")
-    print(f"satisfied = {_flag(check.satisfied)}")
+    _print_check(check)
     return 0
 
 
@@ -394,12 +381,10 @@ def _cmd_lhv_sim(args: argparse.Namespace) -> int:
     tally = simulate(strategy, args.trials, args.seed, workers=min(_workers(), 4))
     _print_manifest(manifest)
     print(f"trials_per_pair = {tally.trials_per_pair}")
-    for pair in PAIR_ORDER:
-        name = f"{pair[0]}{pair[1]}"
+    for name, pair in zip(_PAIR_NAMES, PAIR_ORDER):
         for label, outcome in _OUTCOME_LABELS:
             print(f"count_{name}_{label} = {tally.count(pair, outcome)}")
-    for pair in PAIR_ORDER:
-        name = f"{pair[0]}{pair[1]}"
+    for name, pair in zip(_PAIR_NAMES, PAIR_ORDER):
         print(f"e{name} = {_fmt(tally.estimated_correlation(pair))}")
         print(f"se_e{name} = {_fmt(tally.correlation_std_error(pair))}")
     print(f"delta = {_fmt(tally.estimated_delta())}")

@@ -26,7 +26,15 @@ from enum import Enum
 
 import numpy as np
 
-from .qstate import DomainError, ExperimentConfig, MeasurementSetting, SchmidtState
+from .qstate import (
+    OUTCOME_ORDER,
+    PAIR_ORDER,
+    DomainError,
+    ExperimentConfig,
+    MeasurementSetting,
+    SchmidtState,
+    _require_finite,
+)
 
 __all__ = [
     "ROUNDING_TOL",
@@ -36,6 +44,7 @@ __all__ = [
     "batch_probabilities",
     "batch_correlation",
     "joint_distribution",
+    "pair_distributions",
     "correlation",
     "correlation_set",
     "is_perfectly_correlated",
@@ -103,14 +112,10 @@ class JointDistribution:
 
     def probability(self, outcome1: int, outcome2: int) -> float:
         """P(first particle -> outcome1, second -> outcome2), outcomes +-1."""
+        entries = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)  # OUTCOME_ORDER
         try:
-            return {
-                (1, 1): self.p_pp,
-                (-1, -1): self.p_mm,
-                (1, -1): self.p_pm,
-                (-1, 1): self.p_mp,
-            }[(outcome1, outcome2)]
-        except KeyError:
+            return entries[OUTCOME_ORDER.index((outcome1, outcome2))]
+        except ValueError:
             raise DomainError(
                 f"outcomes must be +1 or -1, got ({outcome1!r}, {outcome2!r})"
             ) from None
@@ -164,6 +169,14 @@ def joint_distribution(
     return JointDistribution(float(p_pp), float(p_mm), float(p_pm), float(p_mp))
 
 
+def pair_distributions(config: ExperimentConfig) -> tuple[JointDistribution, ...]:
+    """The joint distributions of the four setting pairs, in PAIR_ORDER:
+    (D11,D21), (D11,D22), (D12,D21), (D12,D22)."""
+    return tuple(
+        joint_distribution(config.state, *config.pair(k, l)) for k, l in PAIR_ORDER
+    )
+
+
 def correlation(
     state: SchmidtState, s1: MeasurementSetting, s2: MeasurementSetting
 ) -> float:
@@ -174,13 +187,9 @@ def correlation(
 
 
 def correlation_set(config: ExperimentConfig) -> CorrelationSet:
-    """Evaluate all four correlations of an ExperimentConfig."""
-    state = config.state
+    """Evaluate all four correlations of an ExperimentConfig, in PAIR_ORDER."""
     return CorrelationSet(
-        e11=correlation(state, config.d11, config.d21),
-        e12=correlation(state, config.d11, config.d22),
-        e21=correlation(state, config.d12, config.d21),
-        e22=correlation(state, config.d12, config.d22),
+        *(correlation(config.state, *config.pair(k, l)) for k, l in PAIR_ORDER)
     )
 
 
@@ -191,6 +200,7 @@ def is_perfectly_correlated(
     tol: float = 1e-9,
 ) -> PerfectCorrelation | None:
     """Classify the pair as perfectly (anti)correlated, or neither."""
+    tol = _require_finite("tol", tol)
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     value = correlation(state, s1, s2)

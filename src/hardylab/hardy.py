@@ -35,14 +35,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .correlations import joint_distribution
+from .correlations import pair_distributions
 from .qstate import (
     DomainError,
     EntanglementClass,
     ExperimentConfig,
     MeasurementSetting,
     SchmidtState,
+    _require_finite,
     entanglement_class,
 )
 
@@ -94,7 +96,7 @@ class HardyVariant(Enum):
     PARTICLE1_FLIPPED = "particle1-flipped"
     PARTICLE2_FLIPPED = "particle2-flipped"
 
-    @property
+    @cached_property
     def sign_factors(self) -> tuple[int, int]:
         """Per-particle outcome sign factors (f1, f2)."""
         return {
@@ -235,16 +237,18 @@ def check_hardy(
     P(D11=-f1, D21=-f2) = 0, P(D11=+f1, D22=+f2) = 0,
     P(D12=+f1, D21=+f2) = 0, and P(D12=+f1, D22=+f2) > 0. A config is
     satisfied when the first three are at most zero_tol and the fourth
-    exceeds it.
+    exceeds it. The four probabilities are the (-f1, -f2) entry of the
+    first pair_distributions table and the (f1, f2) entry of the others.
     """
+    zero_tol = _require_finite("zero_tol", zero_tol)
     if zero_tol <= 0:
         raise DomainError(f"zero_tol must be positive, got {zero_tol!r}")
     f1, f2 = variant.sign_factors
-    state = config.state
-    p_a = joint_distribution(state, config.d11, config.d21).probability(-f1, -f2)
-    p_b = joint_distribution(state, config.d11, config.d22).probability(f1, f2)
-    p_c = joint_distribution(state, config.d12, config.d21).probability(f1, f2)
-    p_d = joint_distribution(state, config.d12, config.d22).probability(f1, f2)
+    first, second, third, fourth = pair_distributions(config)
+    p_a = first.probability(-f1, -f2)
+    p_b = second.probability(f1, f2)
+    p_c = third.probability(f1, f2)
+    p_d = fourth.probability(f1, f2)
     satisfied = max(p_a, p_b, p_c) <= zero_tol and p_d > zero_tol
     return HardyCheck(p_a=p_a, p_b=p_b, p_c=p_c, p_d=p_d, satisfied=satisfied)
 
@@ -300,13 +304,8 @@ def hardy_inequality_lhs_rhs(config: ExperimentConfig) -> tuple[float, float]:
                            + P(D11=+1, D22=+1)
                            + P(D12=+1, D21=+1)
 
-    so a return of lhs > rhs certifies a violation.
+    so a return of lhs > rhs certifies a violation: lhs is p_d and rhs
+    is p_a + p_b + p_c of the canonical check_hardy.
     """
-    state = config.state
-    lhs = joint_distribution(state, config.d12, config.d22).probability(1, 1)
-    rhs = (
-        joint_distribution(state, config.d11, config.d21).probability(-1, -1)
-        + joint_distribution(state, config.d11, config.d22).probability(1, 1)
-        + joint_distribution(state, config.d12, config.d21).probability(1, 1)
-    )
-    return lhs, rhs
+    check = check_hardy(config)
+    return check.p_d, check.p_a + check.p_b + check.p_c

@@ -20,6 +20,7 @@ without tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .qstate import DomainError
+from .qstate import OUTCOME_ORDER, PAIR_ORDER, DomainError, _key_value_lines
 
 __all__ = [
     "PAIR_ORDER",
@@ -44,12 +45,6 @@ __all__ = [
     "is_locally_realizable",
     "strategy_from_text",
 ]
-
-# Setting pairs (particle-1 index, particle-2 index) in canonical order.
-PAIR_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-# Outcome pairs in canonical order.
-OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -341,6 +336,8 @@ def simulate(
     """
     if int(trials_per_pair) != trials_per_pair or trials_per_pair < 1:
         raise DomainError("trials_per_pair must be a positive integer")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     trials = int(trials_per_pair)
     lhv_joint_probability(strategy, (1, 1), (1, 1))  # validates strategy type
     jobs = [
@@ -399,17 +396,10 @@ def is_locally_realizable(e11, e12, e21, e22) -> bool:
 
 def _parse_entries(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DomainError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip()
+    for lineno, key, value in _key_value_lines(text):
         if key in entries:
             raise DomainError(f"line {lineno}: repeated key {key!r}")
-        entries[key] = value.strip()
+        entries[key] = value
     return entries
 
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 __all__ = [
     "NORMALIZATION_TOL",
     "CLASSIFICATION_TOL",
+    "PAIR_ORDER",
+    "OUTCOME_ORDER",
     "DomainError",
     "EntanglementClass",
     "SchmidtState",
@@ -29,6 +32,13 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-12
 CLASSIFICATION_TOL = 1e-9
+
+# Setting pairs (particle-1 index k, particle-2 index l) in canonical
+# order: the joint measurements (D11,D21), (D11,D22), (D12,D21), (D12,D22).
+PAIR_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+# Outcome pairs in canonical order.
+OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class DomainError(ValueError):
@@ -103,16 +113,17 @@ class ExperimentConfig:
     def setting(self, particle: int, index: int) -> MeasurementSetting:
         """Return D_(particle)(index) for particle, index in {1, 2}."""
         try:
-            return {
-                (1, 1): self.d11,
-                (1, 2): self.d12,
-                (2, 1): self.d21,
-                (2, 2): self.d22,
-            }[(particle, index)]
+            return self.settings[(particle, index)]
         except KeyError:
             raise DomainError(
                 f"no setting ({particle}, {index}); both indices must be 1 or 2"
             ) from None
+
+    def pair(self, k: int, l: int) -> tuple[MeasurementSetting, MeasurementSetting]:
+        """Return (D1k, D2l), the settings measured jointly in pair (k, l)."""
+        if (k, l) not in PAIR_ORDER:
+            raise DomainError(f"no setting pair ({k}, {l}); both indices must be 1 or 2")
+        return (self.d11 if k == 1 else self.d12), (self.d21 if l == 1 else self.d22)
 
     @property
     def settings(self) -> dict[tuple[int, int], MeasurementSetting]:
@@ -170,6 +181,22 @@ _OPTIONAL_KEYS = ("sign_c1", "sign_c2") + tuple(
 )
 
 
+def _key_value_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, key, value) for each 'key = value' line.
+
+    Keys and values are stripped; blank lines and lines starting with
+    '#' are skipped, and any other line without '=' is an error.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DomainError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        yield lineno, key.strip(), value.strip()
+
+
 def config_from_text(text: str) -> ExperimentConfig:
     """Parse a key = value experiment description.
 
@@ -180,23 +207,16 @@ def config_from_text(text: str) -> ExperimentConfig:
     default to +1 and the deltas to 0.
     """
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DomainError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip()
+    for lineno, key, value in _key_value_lines(text):
         if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
             raise DomainError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise DomainError(f"line {lineno}: repeated key {key!r}")
         try:
-            values[key] = float(value.strip())
+            values[key] = float(value)
         except ValueError:
             raise DomainError(
-                f"line {lineno}: value for {key!r} is not a number: {value.strip()!r}"
+                f"line {lineno}: value for {key!r} is not a number: {value!r}"
             ) from None
     missing = [key for key in _REQUIRED_KEYS if key not in values]
     if missing:
@@ -207,19 +227,15 @@ def config_from_text(text: str) -> ExperimentConfig:
         sign_c1=values.get("sign_c1", 1),
         sign_c2=values.get("sign_c2", 1),
     )
-    settings = {
-        tag: MeasurementSetting(
-            beta=math.radians(values[f"beta_{tag}_deg"]),
-            delta=math.radians(values.get(f"delta_{tag}_deg", 0.0)),
-        )
-        for tag in _SETTING_TAGS
-    }
     return ExperimentConfig(
         state=state,
-        d11=settings["11"],
-        d12=settings["12"],
-        d21=settings["21"],
-        d22=settings["22"],
+        **{
+            f"d{tag}": MeasurementSetting(
+                beta=math.radians(values[f"beta_{tag}_deg"]),
+                delta=math.radians(values.get(f"delta_{tag}_deg", 0.0)),
+            )
+            for tag in _SETTING_TAGS
+        },
     )
 
 

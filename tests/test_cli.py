@@ -163,6 +163,26 @@ class TestCorrelation:
         values = parse_values(out)
         assert list(values) == ["e21"]
 
+    def test_single_pair_lines_match_full_table(self, capsys, tmp_path):
+        # e11 is 0 up to rounding here, and the probability route and the
+        # closed form round it differently (1.9e-16 against 6.1e-17).
+        path = tmp_path / "pair.cfg"
+        path.write_text(
+            "c1_squared = 0.3\nbeta_11_deg = 45\nbeta_12_deg = 30\n"
+            "beta_21_deg = 0\nbeta_22_deg = 17\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "correlation", "--config", str(path))
+        assert code == 0
+        full = out.splitlines()
+        for name in ("11", "12", "21", "22"):
+            code, out, _ = run_cli(
+                capsys, "correlation", "--config", str(path), "--pair", name
+            )
+            assert code == 0
+            line = out.splitlines()[-1]
+            assert line.startswith(f"e{name} = ") and line in full
+
 
 class TestHardySolve:
     def test_golden_solution(self, capsys):
@@ -258,6 +278,14 @@ class TestHardyCheck:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e400"])
+    def test_non_finite_tolerance(self, capsys, solved_config_path, tol):
+        code, out, err = run_cli(
+            capsys, "hardy-check", "--config", solved_config_path, "--tol", tol
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "zero_tol must be finite" in err
 
 
 class TestScan:
@@ -428,6 +456,13 @@ class TestLhvSim:
         code, out, err = run_cli(capsys, "lhv-sim", "--strategy", str(path))
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "must be finite" in err
+
+    def test_rejects_negative_seed(self, capsys, anticorrelated_path):
+        code, out, err = run_cli(
+            capsys, "lhv-sim", "--strategy", anticorrelated_path, "--seed", "-1"
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "seed must be a non-negative integer" in err
 
     def test_rejects_zero_trials(self, capsys, anticorrelated_path):
         code, _, err = run_cli(

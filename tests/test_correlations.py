@@ -18,8 +18,15 @@ from hardylab.correlations import (
     correlation_set,
     is_perfectly_correlated,
     joint_distribution,
+    pair_distributions,
 )
-from hardylab.qstate import DomainError, ExperimentConfig, MeasurementSetting, make_state
+from hardylab.qstate import (
+    OUTCOME_ORDER,
+    DomainError,
+    ExperimentConfig,
+    MeasurementSetting,
+    make_state,
+)
 
 from oracles import oracle_correlation, oracle_probabilities
 
@@ -218,5 +225,44 @@ class TestPerfectCorrelation:
         assert is_perfectly_correlated(GOLDEN_STATE, GOLDEN_S1, GOLDEN_S2) is None
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError, match="tol"):
-            is_perfectly_correlated(GOLDEN_STATE, GOLDEN_S1, GOLDEN_S2, tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="tol"):
+                is_perfectly_correlated(GOLDEN_STATE, GOLDEN_S1, GOLDEN_S2, tol=tol)
+
+
+class TestPairDistributions:
+    def test_match_amplitudes_on_seeded_configs(self):
+        rng = np.random.default_rng(20240601)
+        for _ in range(200):
+            state = make_state(
+                float(rng.uniform(0.0, 1.0)),
+                sign_c1=int(rng.choice((1, -1))),
+                sign_c2=int(rng.choice((1, -1))),
+            )
+            d11, d12, d21, d22 = (
+                MeasurementSetting(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2))
+                for _ in range(4)
+            )
+            config = ExperimentConfig(state=state, d11=d11, d12=d12, d21=d21, d22=d22)
+            pairs = ((d11, d21), (d11, d22), (d12, d21), (d12, d22))
+            distributions = pair_distributions(config)
+            assert len(distributions) == 4
+            for dist, (s1, s2) in zip(distributions, pairs):
+                reference = oracle_probabilities(
+                    state.c1, state.c2, s1.beta, s1.delta, s2.beta, s2.delta
+                )
+                for outcome in OUTCOME_ORDER:
+                    assert dist.probability(*outcome) == pytest.approx(
+                        float(reference[outcome]), abs=1e-12
+                    )
+
+    def test_equal_scalar_calls_bit_for_bit(self):
+        config = ExperimentConfig(
+            state=GOLDEN_STATE, d11=GOLDEN_S1, d12=GOLDEN_S2, d21=GOLDEN_S2, d22=GOLDEN_S1
+        )
+        expected = tuple(
+            joint_distribution(GOLDEN_STATE, s1, s2)
+            for s1, s2 in ((GOLDEN_S1, GOLDEN_S2), (GOLDEN_S1, GOLDEN_S1),
+                           (GOLDEN_S2, GOLDEN_S2), (GOLDEN_S2, GOLDEN_S1))
+        )
+        assert pair_distributions(config) == expected

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.correlations import correlation, joint_distribution
+from hardylab.correlations import correlation, joint_distribution, pair_distributions
 from hardylab.hardy import (
     DEGENERATE_BETA0_TOL,
     ZERO_TOL,
@@ -166,8 +166,22 @@ class TestVariants:
 
 class TestCheckHardy:
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError, match="zero_tol"):
-            check_hardy(_solution().config(), zero_tol=0.0)
+        for zero_tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="zero_tol"):
+                check_hardy(_solution().config(), zero_tol=zero_tol)
+
+    @pytest.mark.parametrize("variant", list(HardyVariant))
+    def test_reads_documented_pair_entries(self, variant):
+        config = _solution(variant=variant).config()
+        f1, f2 = variant.sign_factors
+        first, second, third, fourth = pair_distributions(config)
+        check = check_hardy(config, variant)
+        assert (check.p_a, check.p_b, check.p_c, check.p_d) == (
+            first.probability(-f1, -f2),
+            second.probability(f1, f2),
+            third.probability(f1, f2),
+            fourth.probability(f1, f2),
+        )
 
     def test_unsatisfied_config(self):
         config = _solution().config()
@@ -232,8 +246,8 @@ class TestInequalityDecomposition:
         config = _solution().config()
         check = check_hardy(config)
         lhs, rhs = hardy_inequality_lhs_rhs(config)
-        assert lhs == pytest.approx(check.p_d, abs=0)
-        assert rhs == pytest.approx(check.p_a + check.p_b + check.p_c, abs=1e-15)
+        assert lhs == check.p_d
+        assert rhs == check.p_a + check.p_b + check.p_c
 
     def test_forced_maximal_config_respects_bound(self):
         beta11, beta12, beta21, beta22 = TestMaximalEntanglementForcing._angles(0.6)

@@ -387,6 +387,11 @@ class TestSimulate:
         with pytest.raises(DomainError, match="positive integer"):
             simulate(ANTICORRELATED, trials, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            simulate(ANTICORRELATED, 10, seed=seed)
+
 
 class TestLocalRealismForcing:
     def test_positive_family(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hardylab.qstate import (
     CLASSIFICATION_TOL,
     NORMALIZATION_TOL,
+    PAIR_ORDER,
     DomainError,
     EntanglementClass,
     ExperimentConfig,
@@ -154,6 +155,24 @@ class TestExperimentConfig:
     def test_setting_rejects_bad_indices(self, particle, index):
         with pytest.raises(DomainError, match="indices must be 1 or 2"):
             self._config().setting(particle, index)
+
+    def test_pair_lookup(self):
+        config = self._config()
+        assert [config.pair(k, l) for k, l in PAIR_ORDER] == [
+            (config.d11, config.d21),
+            (config.d11, config.d22),
+            (config.d12, config.d21),
+            (config.d12, config.d22),
+        ]
+
+    def test_pair_accepts_what_setting_accepts(self):
+        config = self._config()
+        assert config.pair(2.0, 1.0) == (config.setting(1, 2.0), config.setting(2, 1.0))
+
+    @pytest.mark.parametrize("k,l", [(0, 1), (1, 3), (3, 1), (2, 0), (-1, 1), (1.5, 1)])
+    def test_pair_rejects_bad_indices(self, k, l):
+        with pytest.raises(DomainError, match="indices must be 1 or 2"):
+            self._config().pair(k, l)
 
     def test_settings_dict(self):
         config = self._config()
