@@ -36,6 +36,7 @@ __all__ = [
     "OPTIMAL_C1_SQUARED",
     "OPTIMAL_BETA0_DEG",
     "VIOLATION_TOL",
+    "MAX_SCAN_CELLS",
     "ChshResult",
     "ScanGrid",
     "delta_from_correlations",
@@ -59,6 +60,10 @@ OPTIMAL_C1_SQUARED = 0.177352
 OPTIMAL_BETA0_DEG = 17.5566
 
 VIOLATION_TOL = 1e-9
+
+# Largest grid scan_surface accepts. A CLI scan peaks at about 110 bytes
+# per cell, so the cap keeps one near 1.1 GB.
+MAX_SCAN_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -223,10 +228,15 @@ def scan_surface(
 
     Cells are independent; with workers > 1 the c1^2 axis is split into
     contiguous blocks computed in parallel and reassembled in index
-    order, so the result never depends on scheduling.
+    order, so the result never depends on scheduling. A grid of more
+    than MAX_SCAN_CELLS cells is refused before anything is allocated.
     """
     if c1_sq_steps < 2 or beta0_steps < 2:
         raise DomainError("both axes need at least 2 steps")
+    if c1_sq_steps * beta0_steps > MAX_SCAN_CELLS:
+        raise DomainError(
+            f"a {c1_sq_steps}x{beta0_steps} grid exceeds the limit of {MAX_SCAN_CELLS} cells"
+        )
     c1sq_axis = np.linspace(0.0, 1.0, int(c1_sq_steps))
     beta0_deg_axis = np.linspace(0.0, 90.0, int(beta0_steps))
     beta0_axis = np.radians(beta0_deg_axis)

@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -232,21 +233,43 @@ def _cmd_hardy_check(args: argparse.Namespace) -> int:
 # ---------- scan ----------
 
 
-def _csv_text(grid: ScanGrid, manifest: RunManifest) -> str:
-    lines = manifest.lines()
-    lines.append("c1_squared,beta0_deg,p_hardy,delta,degenerate")
-    for x, b, p, d, degenerate in grid.rows():
-        lines.append(f"{_fmt(x)},{_fmt(b)},{_fmt(p)},{_fmt(d)},{_flag(degenerate)}")
-    return "\n".join(lines) + "\n"
+_CSV_FLAGS = (",false\n", ",true\n")
 
 
-def _ramp_color(t: float) -> str:
-    low, high = (32, 42, 88), (250, 220, 70)
-    r, g, b = (round(a + t * (b_ - a)) for a, b_ in zip(low, high))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _write_csv(grid: ScanGrid, manifest: RunManifest, stream: TextIO) -> None:
+    """Write the scan CSV one grid row at a time.
+
+    Each beta0 is formatted once for the whole grid and each c1^2 once
+    per row, with the same 12-digit format as _fmt.
+    """
+    stream.write(manifest.text())
+    stream.write("c1_squared,beta0_deg,p_hardy,delta,degenerate\n")
+    betas = [f",{b:.12g}," for b in grid.beta0_deg.tolist()]
+    for x, p_row, d_row, g_row in zip(
+        grid.c1_squared.tolist(), grid.p_hardy, grid.delta, grid.degenerate
+    ):
+        x = f"{x:.12g}"
+        cells = zip(betas, p_row.tolist(), d_row.tolist(), g_row.tolist())
+        stream.write("".join([f"{x}{b}{p:.12g},{d:.12g}{_CSV_FLAGS[g]}" for b, p, d, g in cells]))
 
 
-def _svg_text(grid: ScanGrid, manifest: RunManifest) -> str:
+_RAMP_LOW = np.array([[32.0], [42.0], [88.0]])
+_RAMP_STEP = np.array([[250.0], [220.0], [70.0]]) - _RAMP_LOW
+
+
+def _ramp_codes(t: np.ndarray) -> list[int]:
+    """0xRRGGBB of the colour ramp at each t in [0, 1].
+
+    Each channel is round(low + t * (high - low)): the same IEEE
+    operations in float64, and np.round rounds half to even exactly as
+    Python's round does.
+    """
+    r, g, b = np.round(_RAMP_LOW + t * _RAMP_STEP).astype(np.int64)
+    return ((r << 16) | (g << 8) | b).tolist()
+
+
+def _write_svg(grid: ScanGrid, manifest: RunManifest, stream: TextIO) -> None:
+    """Write the heatmap, one <rect> per cell, one grid row at a time."""
     left, top, plot_w, plot_h = 70.0, 46.0, 540.0, 540.0
     width, height = left + plot_w + 30.0, top + plot_h + 54.0
     n_x, n_b = grid.shape
@@ -255,52 +278,55 @@ def _svg_text(grid: ScanGrid, manifest: RunManifest) -> str:
     vmax = float(grid.delta.max())
     span = (vmax - vmin) or 1.0
 
-    parts = ["<!--"] + manifest.lines() + ["-->"]
-    parts.append(
+    head = ["<!--"] + manifest.lines() + ["-->"]
+    head.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}" font-family="monospace" font-size="13">'
     )
-    parts.append(f'<rect width="{width:g}" height="{height:g}" fill="#ffffff"/>')
+    head.append(f'<rect width="{width:g}" height="{height:g}" fill="#ffffff"/>')
     mx, mb, md = grid.max_cell()
-    parts.append(f'<text x="{left:g}" y="20">CHSH violation surface</text>')
-    parts.append(
+    head.append(f'<text x="{left:g}" y="20">CHSH violation surface</text>')
+    head.append(
         f'<text x="{left:g}" y="37" font-size="11">max delta = {_fmt(md)} '
         f"at c1_squared = {_fmt(mx)}, beta0 = {_fmt(mb)} deg</text>"
     )
-    for i in range(n_x):
-        y = top + plot_h - (i + 1) * cell_h
-        for j in range(n_b):
-            t = (float(grid.delta[i, j]) - vmin) / span
-            x = left + j * cell_w
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.05:.2f}" '
-                f'height="{cell_h + 0.05:.2f}" fill="{_ramp_color(t)}"/>'
-            )
-    # axes
+    stream.write("\n".join(head) + "\n")
+
+    columns = [f'<rect x="{left + j * cell_w:.2f}" y="' for j in range(n_b)]
+    size = f'" width="{cell_w + 0.05:.2f}" height="{cell_h + 0.05:.2f}" fill="'
+    fills: dict[int, str] = {}
+    for i, d_row in enumerate(grid.delta):
+        y_size = f"{top + plot_h - (i + 1) * cell_h:.2f}{size}"
+        codes = _ramp_codes((d_row - vmin) / span)
+        for code in set(codes).difference(fills):
+            fills[code] = f'#{code:06x}"/>\n'
+        stream.write("".join([f"{x}{y_size}{fills[code]}" for x, code in zip(columns, codes)]))
+
+    tail = []
     axis_y = top + plot_h
     for value in (0, 30, 60, 90):
         x = left + value / 90.0 * plot_w
-        parts.append(
+        tail.append(
             f'<line x1="{x:.2f}" y1="{axis_y:.2f}" x2="{x:.2f}" y2="{axis_y + 6:.2f}" stroke="#000"/>'
         )
-        parts.append(f'<text x="{x:.2f}" y="{axis_y + 20:.2f}" text-anchor="middle">{value}</text>')
+        tail.append(f'<text x="{x:.2f}" y="{axis_y + 20:.2f}" text-anchor="middle">{value}</text>')
     for value in (0.0, 0.5, 1.0):
         y = top + plot_h - value * plot_h
-        parts.append(
+        tail.append(
             f'<line x1="{left - 6:.2f}" y1="{y:.2f}" x2="{left:.2f}" y2="{y:.2f}" stroke="#000"/>'
         )
-        parts.append(
+        tail.append(
             f'<text x="{left - 10:.2f}" y="{y + 4:.2f}" text-anchor="end">{value:g}</text>'
         )
-    parts.append(
+    tail.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{axis_y + 40:.2f}" text-anchor="middle">beta0 (deg)</text>'
     )
-    parts.append(
+    tail.append(
         f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">c1_squared</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    tail.append("</svg>")
+    stream.write("\n".join(tail) + "\n")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -315,9 +341,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     grid = scan_surface(args.c1sq_steps, args.beta0_steps, workers=_workers())
     if args.out:
-        Path(args.out).write_text(_csv_text(grid, manifest), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as stream:
+            _write_csv(grid, manifest, stream)
     if args.svg:
-        Path(args.svg).write_text(_svg_text(grid, manifest), encoding="utf-8")
+        with open(args.svg, "w", encoding="utf-8") as stream:
+            _write_svg(grid, manifest, stream)
     if args.out or args.svg:
         _print_manifest(manifest)
         mx, mb, md = grid.max_cell()
@@ -326,7 +354,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"max_c1_squared = {_fmt(mx)}")
         print(f"max_beta0_deg = {_fmt(mb)}")
     else:
-        sys.stdout.write(_csv_text(grid, manifest))
+        try:
+            _write_csv(grid, manifest, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early (e.g. `| head`). Send what is still
+            # buffered to devnull so that the flush at exit cannot fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0
 
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hardylab import chsh
 from hardylab.chsh import (
     DELTA_MAX,
     GOLDEN_MEAN,
+    MAX_SCAN_CELLS,
     OPTIMAL_BETA0_DEG,
     OPTIMAL_C1_SQUARED,
     ChshResult,
@@ -231,6 +233,18 @@ class TestScanSurface:
     def test_rejects_tiny_axes(self, steps):
         with pytest.raises(DomainError, match="at least 2 steps"):
             scan_surface(*steps)
+
+    @pytest.mark.parametrize("steps", [(10001, 1001), (2, 10**12), (10**6, 10**6)])
+    def test_rejects_oversized_grid(self, steps):
+        assert steps[0] * steps[1] > MAX_SCAN_CELLS
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            scan_surface(*steps)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(chsh, "MAX_SCAN_CELLS", 20)
+        assert scan_surface(5, 4).shape == (5, 4)
+        with pytest.raises(DomainError, match="7x3 grid exceeds the limit of 20 cells"):
+            scan_surface(7, 3)
 
     def test_point_symmetry(self):
         grid = scan_surface(11, 11)

@@ -2,13 +2,16 @@
 file emission."""
 
 import math
+import os
 import shutil
 import subprocess
 import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
+import hardylab
 from hardylab import __version__
 from hardylab.chsh import DELTA_MAX, OPTIMAL_BETA0_DEG, OPTIMAL_C1_SQUARED, scan_surface
 from hardylab.cli import (
@@ -364,6 +367,28 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--c1sq-steps", "1")
         assert code == 1
         assert "at least 2 steps" in err
+
+    @pytest.mark.parametrize("command", ["scan", "optimize"])
+    def test_rejects_oversized_grid(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--c1sq-steps", "10001", "--beta0-steps", "1001")
+        assert code == 1
+        assert err == "error: a 10001x1001 grid exceeds the limit of 10000000 cells\n"
+
+    def test_reader_closing_early_is_not_an_error(self):
+        # The CSV (about 5 MB) is far larger than a pipe buffer, so the
+        # writes after the reader leaves fail with a broken pipe.
+        env = dict(os.environ, PYTHONPATH=str(Path(hardylab.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "hardylab.cli", "scan",
+             "--c1sq-steps", "401", "--beta0-steps", "301"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        assert first == f"# tool: hardylab {__version__}\n".encode()
+        assert code == 0 and err == b""
 
 
 class TestOptimize:

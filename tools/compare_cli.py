@@ -86,6 +86,16 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
     out.append((["scan", "--c1sq-steps", "241", "--beta0-steps", "201",
                  "--out", "big.csv", "--svg", "big.svg"], ("big.csv", "big.svg")))
     out.append((["scan", "--c1sq-steps", "7", "--beta0-steps", "5"], ()))
+    # The benchmark's scan shapes: large with SVG, thin CSV-only, and odd
+    # step counts whose axes hit c1^2 = 0.5 and the beta0 ends.
+    out.append((["scan", "--c1sq-steps", "354", "--beta0-steps", "318",
+                 "--out", "large.csv", "--svg", "large.svg"], ("large.csv", "large.svg")))
+    out.append((["scan", "--c1sq-steps", "7982", "--beta0-steps", "11",
+                 "--out", "thin.csv"], ("thin.csv",)))
+    out.append((["scan", "--c1sq-steps", "225", "--beta0-steps", "193",
+                 "--out", "degenerate.csv", "--svg", "degenerate.svg"],
+                ("degenerate.csv", "degenerate.svg")))
+    out.append((["scan", "--c1sq-steps", "101", "--beta0-steps", "37"], ()))
     out.append((["optimize"], ()))
     out.append((["verify"], ()))
     for strategy in ("mixture.lhv", "stochastic.lhv"):
