@@ -20,15 +20,14 @@ golden mean, attained near (c1^2, beta0) = (0.177352, 17.5566 deg).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .correlations import CorrelationSet, batch_probabilities, correlation_set, pair_distributions
-from .hardy import DEGENERATE_BETA0_TOL, DegenerateBeta0, NotPartiallyEntangled, _entanglement_defect
-from .qstate import DomainError, ExperimentConfig, make_state
+from .hardy import _hardy_domain, _require_hardy_domain
+from .qstate import DomainError, ExperimentConfig, _require_count, _require_tolerance
 
 __all__ = [
     "GOLDEN_MEAN",
@@ -84,6 +83,7 @@ def delta_from_correlations(correlations: CorrelationSet) -> float:
 
 def evaluate(config: ExperimentConfig, tol: float = VIOLATION_TOL) -> ChshResult:
     """Evaluate the CHSH parameter of a full experiment."""
+    tol = _require_tolerance("tol", tol)
     correlations = correlation_set(config)
     delta = delta_from_correlations(correlations)
     return ChshResult(
@@ -137,13 +137,7 @@ def delta_closed_form(c1_squared: float, beta0: float) -> float:
         raise DomainError(
             f"c1_squared must lie strictly inside (0, 1), got {c1_squared!r}"
         )
-    defect = _entanglement_defect(make_state(c1_squared))
-    if defect:
-        raise NotPartiallyEntangled(defect)
-    if abs(math.sin(2.0 * beta0)) < DEGENERATE_BETA0_TOL:
-        raise DegenerateBeta0(
-            f"beta0 = {beta0!r} rad is too close to a multiple of pi/2"
-        )
+    _require_hardy_domain(math.sqrt(c1_squared), math.sqrt(1.0 - c1_squared), beta0)
     tan = math.tan(beta0)
     cos = math.cos(beta0)
     return float(
@@ -198,68 +192,41 @@ class ScanGrid:
         return float(self.c1_squared[i]), float(self.beta0_deg[j]), float(self.delta[i, j])
 
 
-def _scan_block(c1sq: np.ndarray, beta0: np.ndarray):
-    """delta, p_hardy, degenerate arrays for one block of c1^2 values."""
-    x = c1sq[:, None]
-    b = beta0[None, :]
-    off_domain = [_entanglement_defect(make_state(v)) is not None for v in c1sq]
-    degenerate = np.array(off_domain)[:, None] | (
-        np.abs(np.sin(2.0 * b)) < DEGENERATE_BETA0_TOL
-    )
+def scan_surface(c1_sq_steps: int, beta0_steps: int) -> ScanGrid:
+    """Scan the violation surface on a c1_sq_steps x beta0_steps grid.
+
+    Both counts must be integers of at least 2; a grid of more than
+    MAX_SCAN_CELLS cells is refused before anything is allocated.
+    """
+    message = "both axes need at least 2 steps"
+    n_x = _require_count(c1_sq_steps, 2, message)
+    n_b = _require_count(beta0_steps, 2, message)
+    if n_x * n_b > MAX_SCAN_CELLS:
+        raise DomainError(
+            f"a {n_x}x{n_b} grid exceeds the limit of {MAX_SCAN_CELLS} cells"
+        )
+    c1sq_axis = np.linspace(0.0, 1.0, n_x)
+    beta0_deg_axis = np.linspace(0.0, 90.0, n_b)
+    x = c1sq_axis[:, None]
+    b = np.radians(beta0_deg_axis)[None, :]
+    # The coefficients make_state would give: x lies in [0, 1] already.
+    c1 = np.sqrt(x)
+    c2 = np.sqrt(1.0 - x)
+    product, maximal, bad_beta0 = _hardy_domain(c1, c2, np.sin(2.0 * b))
+    degenerate = product | maximal | bad_beta0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tan = np.tan(b)
         cos = np.cos(b)
         delta = _five_term_delta(x, tan * tan, 1.0 / (tan * tan), cos * cos)
         # Hardy probability P(D12=+1, D22=+1) on the solved angles.
-        c1 = np.sqrt(np.clip(x, 0.0, 1.0))
-        c2 = np.sqrt(np.clip(1.0 - x, 0.0, 1.0))
         ratio = np.where(c2 > 0.0, c1 / np.where(c2 > 0.0, c2, 1.0), np.inf)
         beta22 = np.arctan2(-(ratio**3), tan)
         p_hardy = batch_probabilities(c1, c2, b, beta22, 0.0)[0]
-    delta = np.where(degenerate, 2.0, delta)
-    p_hardy = np.where(degenerate, 0.0, p_hardy)
-    return delta, p_hardy, degenerate
-
-
-def scan_surface(
-    c1_sq_steps: int, beta0_steps: int, workers: int | None = None
-) -> ScanGrid:
-    """Scan the violation surface on a c1_sq_steps x beta0_steps grid.
-
-    Cells are independent; with workers > 1 the c1^2 axis is split into
-    contiguous blocks computed in parallel and reassembled in index
-    order, so the result never depends on scheduling. A grid of more
-    than MAX_SCAN_CELLS cells is refused before anything is allocated.
-    """
-    if c1_sq_steps < 2 or beta0_steps < 2:
-        raise DomainError("both axes need at least 2 steps")
-    if c1_sq_steps * beta0_steps > MAX_SCAN_CELLS:
-        raise DomainError(
-            f"a {c1_sq_steps}x{beta0_steps} grid exceeds the limit of {MAX_SCAN_CELLS} cells"
-        )
-    c1sq_axis = np.linspace(0.0, 1.0, int(c1_sq_steps))
-    beta0_deg_axis = np.linspace(0.0, 90.0, int(beta0_steps))
-    beta0_axis = np.radians(beta0_deg_axis)
-
-    workers = 1 if workers is None else max(1, int(workers))
-    workers = min(workers, c1sq_axis.size)
-    if workers == 1:
-        delta, p_hardy, degenerate = _scan_block(c1sq_axis, beta0_axis)
-    else:
-        blocks = np.array_split(np.arange(c1sq_axis.size), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda idx: _scan_block(c1sq_axis[idx], beta0_axis), blocks)
-            )
-        delta = np.vstack([part[0] for part in parts])
-        p_hardy = np.vstack([part[1] for part in parts])
-        degenerate = np.vstack([part[2] for part in parts])
-
     return ScanGrid(
         c1_squared=c1sq_axis,
         beta0_deg=beta0_deg_axis,
-        p_hardy=p_hardy,
-        delta=delta,
+        p_hardy=np.where(degenerate, 0.0, p_hardy),
+        delta=np.where(degenerate, 2.0, delta),
         degenerate=degenerate,
     )
 

@@ -104,7 +104,7 @@ class RunManifest:
 
 
 def _workers() -> int:
-    """Worker cap: HARDY_LAB_THREADS if set, else available parallelism."""
+    """lhv-sim's worker cap: HARDY_LAB_THREADS if set, else available parallelism."""
     raw = os.environ.get("HARDY_LAB_THREADS")
     available = os.cpu_count() or 1
     if raw is None:
@@ -339,7 +339,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         ),
         output_paths=outputs,
     )
-    grid = scan_surface(args.c1sq_steps, args.beta0_steps, workers=_workers())
+    grid = scan_surface(args.c1sq_steps, args.beta0_steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
             _write_csv(grid, manifest, stream)
@@ -444,8 +444,8 @@ def _verify_normalization(rng: np.random.Generator) -> tuple[bool, str]:
     return deviation <= 1e-12, f"max |sum - 1| = {deviation:.3g} over {n} draws"
 
 
-def _verify_delta_identity(workers: int) -> tuple[bool, str]:
-    grid = scan_surface(51, 51, workers=workers)
+def _verify_delta_identity() -> tuple[bool, str]:
+    grid = scan_surface(51, 51)
     live = ~grid.degenerate
     deviation = float(np.max(np.abs(grid.delta[live] - 2.0 - 4.0 * grid.p_hardy[live])))
     return deviation <= 1e-10, f"max |delta - 2 - 4 p| = {deviation:.3g} on a 51x51 grid"
@@ -473,7 +473,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(8128)
     checks = (
         ("normalization", _verify_normalization(rng)),
-        ("delta identity", _verify_delta_identity(_workers())),
+        ("delta identity", _verify_delta_identity()),
         ("vanishing-condition round-trip", _verify_vanishing_round_trip(rng)),
     )
     failures = 0

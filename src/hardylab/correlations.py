@@ -33,7 +33,7 @@ from .qstate import (
     ExperimentConfig,
     MeasurementSetting,
     SchmidtState,
-    _require_finite,
+    _require_tolerance,
 )
 
 __all__ = [
@@ -200,9 +200,7 @@ def is_perfectly_correlated(
     tol: float = 1e-9,
 ) -> PerfectCorrelation | None:
     """Classify the pair as perfectly (anti)correlated, or neither."""
-    tol = _require_finite("tol", tol)
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    tol = _require_tolerance("tol", tol)
     value = correlation(state, s1, s2)
     if value >= 1.0 - tol:
         return PerfectCorrelation.CORRELATED

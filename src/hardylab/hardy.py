@@ -44,7 +44,9 @@ from .qstate import (
     ExperimentConfig,
     MeasurementSetting,
     SchmidtState,
+    _entanglement_flags,
     _require_finite,
+    _require_tolerance,
     entanglement_class,
 )
 
@@ -160,17 +162,31 @@ class HardySolution:
         return check_hardy(self.config(), self.variant).p_d
 
 
-def _entanglement_defect(state: SchmidtState) -> str | None:
-    """Why state admits no Hardy solution, or None if it is partially entangled.
+def _hardy_domain(c1, c2, sin_2beta0):
+    """(product, maximal, degenerate_beta0) flags of the Hardy domain.
 
-    The one Hardy-domain test on the state, shared by solve_hardy,
-    chsh.delta_closed_form, the scan and the optimizer so that they agree.
+    The one Hardy-domain test, shared by solve_hardy, delta_closed_form,
+    the scan and the optimizer. c1, c2 are coefficient magnitudes and a
+    NaN sin(2 beta0) (from a non-finite beta0) counts as degenerate. Plain
+    arithmetic: floats and broadcast numpy arrays both work.
     """
-    cls = entanglement_class(state)
-    if cls is EntanglementClass.PARTIAL:
-        return None
-    kind = "maximally entangled" if cls is EntanglementClass.MAXIMAL else "product"
-    return f"{kind} state admits no Hardy solution"
+    product, maximal = _entanglement_flags(c1, c2)
+    degenerate = (abs(sin_2beta0) < DEGENERATE_BETA0_TOL) | (sin_2beta0 != sin_2beta0)
+    return product, maximal, degenerate
+
+
+def _require_hardy_domain(c1: float, c2: float, beta0: float) -> None:
+    """Raise unless the magnitudes c1, c2 and beta0 admit a Hardy solution."""
+    finite = math.isfinite(beta0)
+    sin_2beta0 = math.sin(2.0 * beta0) if finite else math.nan
+    product, maximal, degenerate = _hardy_domain(c1, c2, sin_2beta0)
+    if product or maximal:
+        kind = "product" if product else "maximally entangled"
+        raise NotPartiallyEntangled(f"{kind} state admits no Hardy solution")
+    if not finite:
+        raise DomainError(f"beta0 must be finite, got {beta0!r}")
+    if degenerate:
+        raise DegenerateBeta0(f"beta0 = {beta0!r} rad is too close to a multiple of pi/2")
 
 
 def solve_vanishing_condition(ratio_a: float) -> float:
@@ -204,15 +220,7 @@ def solve_hardy(
     states, and DegenerateBeta0 when beta0 is within tolerance of a
     multiple of pi/2 (the chain needs both tan(beta0) and cot(beta0)).
     """
-    defect = _entanglement_defect(state)
-    if defect:
-        raise NotPartiallyEntangled(defect)
-    if not math.isfinite(beta0):
-        raise DomainError(f"beta0 must be finite, got {beta0!r}")
-    if abs(math.sin(2.0 * beta0)) < DEGENERATE_BETA0_TOL:
-        raise DegenerateBeta0(
-            f"beta0 = {beta0!r} rad is too close to a multiple of pi/2"
-        )
+    _require_hardy_domain(abs(state.c1), abs(state.c2), beta0)
     ratio = state.c1 / state.c2
     tan0 = math.tan(beta0)
     return HardySolution(
@@ -240,9 +248,7 @@ def check_hardy(
     exceeds it. The four probabilities are the (-f1, -f2) entry of the
     first pair_distributions table and the (f1, f2) entry of the others.
     """
-    zero_tol = _require_finite("zero_tol", zero_tol)
-    if zero_tol <= 0:
-        raise DomainError(f"zero_tol must be positive, got {zero_tol!r}")
+    zero_tol = _require_tolerance("zero_tol", zero_tol)
     f1, f2 = variant.sign_factors
     first, second, third, fourth = pair_distributions(config)
     p_a = first.probability(-f1, -f2)
@@ -272,12 +278,15 @@ def maximal_entanglement_forcing(
     by more than tol (the preconditions should hold comfortably tighter
     than tol for the bound to be meaningful).
     """
+    tol = _require_tolerance("tol", tol)
     if entanglement_class(state, tol) is not EntanglementClass.MAXIMAL:
         raise DomainError("state is not maximally entangled")
     if state.c1 * state.c2 < 0:
         raise DomainError("coefficients must carry the same sign")
-    t11, t12 = math.tan(beta11), math.tan(beta12)
-    t21, t22 = math.tan(beta21), math.tan(beta22)
+    t11, t12, t21, t22 = (
+        math.tan(_require_finite(f"beta{k}", b))
+        for k, b in zip(("11", "12", "21", "22"), (beta11, beta12, beta21, beta22))
+    )
     for label, product in (
         ("tan(b11) tan(b21)", t11 * t21),
         ("tan(b11) tan(b22)", t11 * t22),

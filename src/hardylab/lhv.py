@@ -29,10 +29,12 @@ from typing import Union
 import numpy as np
 
 from .qstate import OUTCOME_ORDER, PAIR_ORDER, DomainError, _key_value_lines
+from .qstate import _require_count, _require_finite, _require_tolerance
 
 __all__ = [
     "PAIR_ORDER",
     "OUTCOME_ORDER",
+    "MAX_TRIALS",
     "ALL_ASSIGNMENTS",
     "DeterministicAssignment",
     "MixtureStrategy",
@@ -47,6 +49,10 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
+
+# Largest trials_per_pair simulate accepts. With four workers a run
+# peaks at about 115 bytes per trial, so the cap keeps one near 1.1 GB.
+MAX_TRIALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -334,11 +340,11 @@ def simulate(
     it. Reruns with the same seed give identical tallies, regardless of
     worker count.
     """
-    if int(trials_per_pair) != trials_per_pair or trials_per_pair < 1:
-        raise DomainError("trials_per_pair must be a positive integer")
+    trials = _require_count(trials_per_pair, 1, "trials_per_pair must be a positive integer")
+    if trials > MAX_TRIALS:
+        raise DomainError(f"{trials} trials per pair exceed the limit of {MAX_TRIALS}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    trials = int(trials_per_pair)
     lhv_joint_probability(strategy, (1, 1), (1, 1))  # validates strategy type
     jobs = [
         (strategy, pair, trials, seed, index) for index, pair in enumerate(PAIR_ORDER)
@@ -361,7 +367,9 @@ def local_realism_forcing(e11: float, e12: float, e21: float, tol: float = 1e-9)
     first pair fixes each particle's predetermined outcomes, and the
     other two propagate them to the remaining settings.
     """
-    values = (e11, e12, e21)
+    tol = _require_tolerance("tol", tol)
+    names = ("e11", "e12", "e21")
+    values = tuple(_require_finite(n, v) for n, v in zip(names, (e11, e12, e21)))
     for value in values:
         if abs(abs(value) - 1.0) > tol:
             raise DomainError(f"not a perfect correlation: {value!r}")

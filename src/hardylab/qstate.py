@@ -10,6 +10,7 @@ probability formulas, so the individual basis phases are not stored.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -59,6 +60,23 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_tolerance(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value <= 0:
+        raise DomainError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _require_count(value, minimum: int, message: str) -> int:
+    """value as an int; DomainError(message) unless it is an integer >= minimum.
+
+    Floats (integral or not), strings and bools are refused, not truncated.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise DomainError(message)
 
 
 @dataclass(frozen=True)
@@ -159,13 +177,24 @@ def make_state(c1_squared: float, sign_c1: int = +1, sign_c2: int = +1) -> Schmi
     )
 
 
+def _entanglement_flags(c1, c2, tol: float = CLASSIFICATION_TOL):
+    """(product, maximal) flags of the coefficient magnitudes c1, c2.
+
+    Plain arithmetic, so floats and broadcast numpy arrays both work:
+    the one definition behind entanglement_class and the Hardy domain.
+    """
+    return c1 * c2 <= tol, abs(c1 - c2) <= tol
+
+
 def entanglement_class(
     state: SchmidtState, tol: float = CLASSIFICATION_TOL
 ) -> EntanglementClass:
     """Classify as product, maximally entangled, or partially entangled."""
-    if abs(state.c1 * state.c2) <= tol:
+    tol = _require_tolerance("tol", tol)
+    product, maximal = _entanglement_flags(abs(state.c1), abs(state.c2), tol)
+    if product:
         return EntanglementClass.PRODUCT
-    if abs(abs(state.c1) - abs(state.c2)) <= tol:
+    if maximal:
         return EntanglementClass.MAXIMAL
     return EntanglementClass.PARTIAL
 

@@ -25,7 +25,7 @@ from hardylab.chsh import (
     scan_surface,
 )
 from hardylab.correlations import CorrelationSet
-from hardylab.hardy import DegenerateBeta0, NotPartiallyEntangled, solve_hardy
+from hardylab.hardy import DegenerateBeta0, _hardy_domain, solve_hardy
 from hardylab.qstate import (
     DomainError,
     ExperimentConfig,
@@ -84,6 +84,11 @@ class TestGoldenSample:
         assert result.delta == pytest.approx(GOLDEN_SAMPLE_DELTA, abs=1e-12)
         assert result.violated
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9, "x"])
+    def test_evaluate_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tol must be"):
+            evaluate(_solved_config(0.25, math.radians(30.0)), tol=tol)
+
 
 class TestRouteAgreement:
     @given(c1_squared=partial_c1sq, beta0=beta0_values)
@@ -134,20 +139,77 @@ domain_edge_c1sq = st.one_of(
 )
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+# c1^2 in (0, 1) and beta0, weighted toward the edges of the Hardy
+# domain: within 1e-8 of c1^2 = 0, 1/2, 1 and of beta0 = 0, pi/2.
+edge_c1sq = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-8, exclude_min=True),
+    st.floats(min_value=0.5 - 1e-8, max_value=0.5 + 1e-8),
+    st.floats(min_value=1.0 - 1e-8, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+edge_beta0 = st.one_of(
+    st.floats(min_value=-1e-8, max_value=1e-8),
+    st.floats(min_value=math.pi / 2.0 - 1e-8, max_value=math.pi / 2.0 + 1e-8),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from(NON_FINITE),
+)
+
+
+def _refusal(function, *args):
+    """The DomainError function raises on args, or None if it returns."""
+    try:
+        function(*args)
+    except DomainError as exc:
+        return exc
+    return None
+
+
+def _solve(c1_squared, beta0):
+    return solve_hardy(make_state(c1_squared), beta0)
+
+
 class TestClosedFormDomain:
-    @given(c1_squared=domain_edge_c1sq)
-    @example(c1_squared=0.5)
-    @example(c1_squared=0.5 + 1e-11)
-    @example(c1_squared=1e-19)
+    @given(c1_squared=domain_edge_c1sq, beta0=st.sampled_from([0.3, *NON_FINITE]))
+    @example(c1_squared=0.5, beta0=0.3)
+    @example(c1_squared=0.5 + 1e-11, beta0=0.3)
+    @example(c1_squared=1e-19, beta0=0.3)
+    @example(c1_squared=0.3, beta0=math.nan)
+    @example(c1_squared=0.3, beta0=math.inf)
+    @example(c1_squared=0.3, beta0=-math.inf)
     @settings(max_examples=200, deadline=None)
-    def test_rejects_what_solve_hardy_rejects(self, c1_squared):
-        try:
-            solve_hardy(make_state(c1_squared), 0.3)
-        except NotPartiallyEntangled:
-            with pytest.raises(NotPartiallyEntangled):
-                delta_closed_form(c1_squared, 0.3)
+    def test_rejects_what_solve_hardy_rejects(self, c1_squared, beta0):
+        refusal = _refusal(_solve, c1_squared, beta0)
+        if refusal is None:
+            assert math.isfinite(delta_closed_form(c1_squared, beta0))
         else:
-            assert math.isfinite(delta_closed_form(c1_squared, 0.3))
+            with pytest.raises(DomainError) as info:
+                delta_closed_form(c1_squared, beta0)
+            assert type(info.value) is type(refusal)
+            assert str(info.value) == str(refusal)
+
+    @given(
+        xs=st.lists(st.one_of(edge_c1sq, st.sampled_from(NON_FINITE)), min_size=1, max_size=6),
+        betas=st.lists(edge_beta0, min_size=1, max_size=6),
+    )
+    @example(xs=[0.5 - 5e-10, 0.5 + 5e-10, 1e-19, 0.3], betas=[1e-10, 5e-10, math.nan, 0.3])
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_and_array_domains_agree(self, xs, betas):
+        inside = [x for x in xs if 0.0 < x < 1.0]
+        x = np.array(inside)[:, None]
+        b = np.array(betas)[None, :]
+        with np.errstate(invalid="ignore"):
+            sin_2b = np.sin(2.0 * b)
+        product, maximal, degenerate = _hardy_domain(np.sqrt(x), np.sqrt(1.0 - x), sin_2b)
+        off_domain = product | maximal | degenerate
+        for c1_squared in xs:
+            for j, beta0 in enumerate(betas):
+                refusal = _refusal(_solve, c1_squared, beta0)
+                closed = _refusal(delta_closed_form, c1_squared, beta0)
+                assert type(closed) is type(refusal)
+                if c1_squared in inside:
+                    assert off_domain[inside.index(c1_squared), j] == (refusal is not None)
 
     @pytest.mark.parametrize("c1_squared", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_boundary_states(self, c1_squared):
@@ -221,15 +283,21 @@ class TestScanSurface:
             pytest.approx(GOLDEN_SAMPLE_DELTA, abs=1e-12),
         )
 
-    def test_worker_count_never_changes_result(self):
-        serial = scan_surface(7, 5)
-        for workers in (2, 3, 16):
-            parallel = scan_surface(7, 5, workers=workers)
-            np.testing.assert_array_equal(parallel.delta, serial.delta)
-            np.testing.assert_array_equal(parallel.p_hardy, serial.p_hardy)
-            np.testing.assert_array_equal(parallel.degenerate, serial.degenerate)
+    @pytest.mark.parametrize("shape", [(241, 201), (225, 193)])
+    def test_degenerate_mask_is_where_solve_hardy_refuses(self, shape):
+        grid = scan_surface(*shape)
+        refused = np.array([
+            [_refusal(_solve, x, math.radians(b)) is not None for b in grid.beta0_deg.tolist()]
+            for x in grid.c1_squared.tolist()
+        ])
+        assert refused.any() and not refused.all()
+        np.testing.assert_array_equal(grid.degenerate, refused)
 
-    @pytest.mark.parametrize("steps", [(1, 4), (4, 1), (0, 0)])
+    @pytest.mark.parametrize(
+        "steps",
+        [(1, 4), (4, 1), (0, 0), (2.5, 3), (3, 2.5), (5.0, 5), (math.nan, 3), (3, math.inf),
+         ("5", 5), (None, 5), (True, 5)],
+    )
     def test_rejects_tiny_axes(self, steps):
         with pytest.raises(DomainError, match="at least 2 steps"):
             scan_surface(*steps)
@@ -272,6 +340,11 @@ class TestOptimizer:
         p = solve_hardy(make_state(x), beta0).hardy_probability()
         assert delta == pytest.approx(2.0 + 4.0 * p, abs=1e-9)
         assert p == pytest.approx(GOLDEN_MEAN**-5, abs=1e-9)
+
+    @pytest.mark.parametrize("steps", [(math.nan, 5), (201, 2.5), ("201", 181)])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(DomainError, match="at least 2 steps"):
+            optimize_delta(*steps)
 
 
 class TestMaximalFreeAngle:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hardylab
-from hardylab import __version__
+from hardylab import __version__, lhv
 from hardylab.chsh import DELTA_MAX, OPTIMAL_BETA0_DEG, OPTIMAL_C1_SQUARED, scan_surface
 from hardylab.cli import (
     RunManifest,
@@ -496,6 +496,14 @@ class TestLhvSim:
         assert code == 1
         assert "positive integer" in err
 
+    def test_rejects_trials_over_the_cap(self, capsys, monkeypatch, anticorrelated_path):
+        monkeypatch.setattr(lhv, "MAX_TRIALS", 100)
+        args = ("lhv-sim", "--strategy", anticorrelated_path)
+        assert run_cli(capsys, *args, "--trials", "100")[0] == 0
+        code, out, err = run_cli(capsys, *args, "--trials", "101")
+        assert code == 1 and out == ""
+        assert err == "error: 101 trials per pair exceed the limit of 100\n"
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -595,25 +603,38 @@ class TestInequality:
 
 
 class TestWorkersEnvironment:
-    def test_explicit_thread_cap(self, capsys, monkeypatch):
+    """HARDY_LAB_THREADS caps lhv-sim's workers; nothing else reads it."""
+
+    @staticmethod
+    def _args(path):
+        return ("lhv-sim", "--strategy", path, "--trials", "3000", "--seed", "5")
+
+    def test_explicit_thread_cap(self, capsys, monkeypatch, anticorrelated_path):
         monkeypatch.setenv("HARDY_LAB_THREADS", "2")
-        code, out, _ = run_cli(capsys, *TestScan.ARGS)
+        code, out, _ = run_cli(capsys, *self._args(anticorrelated_path))
         assert code == 0
 
-    def test_cap_does_not_change_bytes(self, capsys, monkeypatch):
-        code, wide, _ = run_cli(capsys, *TestScan.ARGS)
+    def test_cap_does_not_change_bytes(self, capsys, monkeypatch, anticorrelated_path):
+        code, wide, _ = run_cli(capsys, *self._args(anticorrelated_path))
         assert code == 0
         monkeypatch.setenv("HARDY_LAB_THREADS", "1")
-        code, narrow, _ = run_cli(capsys, *TestScan.ARGS)
+        code, narrow, _ = run_cli(capsys, *self._args(anticorrelated_path))
         assert code == 0
         assert wide == narrow
 
     @pytest.mark.parametrize("value,fragment", [("0", ">= 1"), ("x", "integer")])
-    def test_rejects_bad_cap(self, capsys, monkeypatch, value, fragment):
+    def test_rejects_bad_cap(self, capsys, monkeypatch, value, fragment, anticorrelated_path):
         monkeypatch.setenv("HARDY_LAB_THREADS", value)
-        code, _, err = run_cli(capsys, *TestScan.ARGS)
+        code, _, err = run_cli(capsys, *self._args(anticorrelated_path))
         assert code == 1
         assert fragment in err
+
+    @pytest.mark.parametrize("argv", [TestScan.ARGS, ("verify",)])
+    def test_scan_and_verify_ignore_cap(self, capsys, monkeypatch, argv):
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv("HARDY_LAB_THREADS", "x")
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 class TestExitCodes:

@@ -244,6 +244,24 @@ class TestMaximalEntanglementForcing:
         with pytest.raises(DomainError, match="precondition failed"):
             maximal_entanglement_forcing(make_state(0.5), 0.6, 0.6, 0.7, 0.7)
 
+    @pytest.mark.parametrize(
+        "angles,tol,message",
+        [
+            ((math.nan,) * 4, 1e-9, "beta11 must be finite"),
+            ((0.6, math.inf, 0.6, 0.6), 1e-9, "beta12 must be finite"),
+            ((0.6, 0.6, -math.inf, 0.6), 1e-9, "beta21 must be finite"),
+            ((0.6, 0.6, 0.6, math.nan), 1e-9, "beta22 must be finite"),
+            (None, math.nan, "tol must be finite"),
+            (None, math.inf, "tol must be finite"),
+            (None, 0.0, "tol must be positive"),
+            (None, -1.0, "tol must be positive"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, angles, tol, message):
+        angles = angles or self._angles(0.6)
+        with pytest.raises(DomainError, match=message):
+            maximal_entanglement_forcing(make_state(0.5), *angles, tol=tol)
+
 
 class TestInequalityDecomposition:
     def test_solved_config_violates(self):

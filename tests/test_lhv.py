@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import lhv
 from hardylab.lhv import (
     ALL_ASSIGNMENTS,
     OUTCOME_ORDER,
@@ -382,10 +383,20 @@ class TestSimulate:
         assert tally.estimated_correlation((1, 2)) == -1.0
         assert tally.count((1, 1), (1, -1)) == 0
 
-    @pytest.mark.parametrize("trials", [0, -5, 2.5])
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, 2.0, math.nan, math.inf, "5", None, True])
     def test_rejects_bad_trial_count(self, trials):
         with pytest.raises(DomainError, match="positive integer"):
             simulate(ANTICORRELATED, trials, seed=0)
+
+    def test_accepts_numpy_integer_trials(self):
+        assert simulate(self.COIN, np.int64(300), seed=2) == simulate(self.COIN, 300, seed=2)
+
+    @pytest.mark.parametrize("strategy", [ANTICORRELATED, COIN])
+    def test_trial_cap_is_inclusive(self, monkeypatch, strategy):
+        monkeypatch.setattr(lhv, "MAX_TRIALS", 50)
+        assert simulate(strategy, 50, seed=1).trials_per_pair == 50
+        with pytest.raises(DomainError, match="51 trials per pair exceed the limit of 50"):
+            simulate(strategy, 51, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", None])
     def test_rejects_bad_seed(self, seed):
@@ -413,6 +424,23 @@ class TestLocalRealismForcing:
 
     def test_custom_tolerance(self):
         assert local_realism_forcing(0.95, 0.97, 1.0, tol=0.1) == 1
+
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [
+            ((math.nan, math.nan, math.nan), {}, "e11 must be finite"),
+            ((1.0, math.nan, 1.0), {}, "e12 must be finite"),
+            ((-1.0, -1.0, -math.inf), {}, "e21 must be finite"),
+            ((1.0, 1.0, "x"), {}, "e21 must be a real number"),
+            ((0.3, 0.2, 0.1), {"tol": math.nan}, "tol must be finite"),
+            ((1.0, 1.0, 1.0), {"tol": math.inf}, "tol must be finite"),
+            ((1.0, 1.0, 1.0), {"tol": 0.0}, "tol must be positive"),
+            ((1.0, 1.0, 1.0), {"tol": -1.0}, "tol must be positive"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, args, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            local_realism_forcing(*args, **kwargs)
 
 
 class TestLocalPolytope:

@@ -109,6 +109,20 @@ class TestEntanglementClass:
         assert entanglement_class(state) is EntanglementClass.PARTIAL
         assert entanglement_class(state, tol=1e-2) is EntanglementClass.MAXIMAL
 
+    @pytest.mark.parametrize(
+        "tol,message",
+        [
+            (math.nan, "finite"),
+            (math.inf, "finite"),
+            (0.0, "positive"),
+            (-1.0, "positive"),
+            ("x", "real number"),
+        ],
+    )
+    def test_rejects_bad_tolerance(self, tol, message):
+        with pytest.raises(DomainError, match=f"tol must be (a )?{message}"):
+            entanglement_class(make_state(0.5), tol=tol)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200)
     def test_trichotomy_matches_definition(self, c1_squared):

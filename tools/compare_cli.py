@@ -78,6 +78,14 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
             argv = ["hardy-solve", "--c1-squared", c1sq, "--beta0-deg", beta0, "--variant", variant]
             out.append((argv, ()))
     out.append((["hardy-solve", "--c1-squared", "0.5", "--beta0-deg", "30"], ()))
+    # The edges of the Hardy domain: refused as maximally entangled within
+    # 5e-10 of c1^2 = 0.5, solved at 5e-9, refused as a product state at
+    # 1e-19; beta0 = 1e-8 deg and 90 - 1e-8 deg are degenerate, 1e-7 deg
+    # is not, and a non-finite beta0 is refused.
+    for c1sq in ("0.4999999995", "0.5000000005", "0.499999995", "0.500000005", "1e-19"):
+        out.append((["hardy-solve", "--c1-squared", c1sq, "--beta0-deg", "30"], ()))
+    for beta0 in ("1e-8", "1e-7", "89.99999999", "nan", "inf", "-inf"):
+        out.append((["hardy-solve", "--c1-squared", "0.3", "--beta0-deg", beta0], ()))
     out.append((["inequality"], ()))
     out.append((["inequality", "--values", "0.1", "0.01", "0.02", "0.03"], ()))
     out.append((["inequality", "--values", "0.1", "0.01", "0.02", "0.03",
@@ -97,6 +105,7 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
                 ("degenerate.csv", "degenerate.svg")))
     out.append((["scan", "--c1sq-steps", "101", "--beta0-steps", "37"], ()))
     out.append((["optimize"], ()))
+    out.append((["optimize", "--c1sq-steps", "41", "--beta0-steps", "37"], ()))
     out.append((["verify"], ()))
     for strategy in ("mixture.lhv", "stochastic.lhv"):
         for seed in ("0", "7", "123456", "-1"):
