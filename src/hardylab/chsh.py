@@ -1,4 +1,4 @@
-"""CHSH parameter evaluation, the violation surface, and its optimizer.
+"""CHSH parameter evaluation, the violation surface, and its maximum.
 
 The CHSH parameter of a full experiment is
 
@@ -13,8 +13,16 @@ the solved family the parameter obeys the identity
 
     Delta = 2 + 4 P(D12=+1, D22=+1)
 
-so its maximum over states and angles is 2 + 4/tau^5 with tau the
-golden mean, attained near (c1^2, beta0) = (0.177352, 17.5566 deg).
+so its maximum is 4 times Hardy's largest probability, plus 2. For a
+fixed state that probability is
+
+    P*(c1, c2) = [c1 c2 (c1 - c2) / (1 - c1 c2)]^2  at  tan^2(beta0) = (c1/c2)^3,
+
+and over states it peaks where r = c1/c2 solves r + 1/r = tau^2, tau
+the golden mean: r = (tau^2 - sqrt(tau^4 - 4))/2, c1^2 = r^2/(1 + r^2),
+tan^2(beta0) = r^3, P* = 1/tau^5 and Delta = 2 + 4/tau^5. The mirror
+point (1 - c1^2, 90 deg - beta0), where c1/c2 = 1/r, is the other
+maximizer in 0 < beta0 < 90 deg.
 """
 
 from __future__ import annotations
@@ -27,7 +35,14 @@ import numpy as np
 
 from .correlations import CorrelationSet, batch_probabilities, correlation_set, pair_distributions
 from .hardy import _hardy_domain, _require_hardy_domain
-from .qstate import DomainError, ExperimentConfig, _require_count, _require_tolerance
+from .qstate import (
+    DomainError,
+    ExperimentConfig,
+    _clamp_c1_squared,
+    _require_count,
+    _require_finite,
+    _require_tolerance,
+)
 
 __all__ = [
     "GOLDEN_MEAN",
@@ -52,11 +67,14 @@ GOLDEN_MEAN = (1.0 + math.sqrt(5.0)) / 2.0
 # Largest CHSH value reachable while the Hardy zero conditions hold.
 DELTA_MAX = 2.0 + 4.0 * GOLDEN_MEAN**-5
 
-# Maximizer of the violation surface, quoted to the precision used for
-# CLI verification; the mirrored point (1 - c1^2, 90 deg - beta0) and
-# sign/period images of beta0 are equivalent.
-OPTIMAL_C1_SQUARED = 0.177352
-OPTIMAL_BETA0_DEG = 17.5566
+# c1/c2 at the maximum: the root below 1 of r + 1/r = tau^2.
+_OPTIMAL_RATIO = (GOLDEN_MEAN**2 - math.sqrt(GOLDEN_MEAN**4 - 4.0)) / 2.0
+
+# The maximizer c1^2 = r^2/(1 + r^2), tan^2(beta0) = r^3; the mirror
+# point (1 - c1^2, 90 deg - beta0) and sign/period images of beta0 are
+# equivalent.
+OPTIMAL_C1_SQUARED = _OPTIMAL_RATIO**2 / (1.0 + _OPTIMAL_RATIO**2)
+OPTIMAL_BETA0_DEG = math.degrees(math.atan(_OPTIMAL_RATIO**1.5))
 
 VIOLATION_TOL = 1e-9
 
@@ -131,13 +149,10 @@ def delta_closed_form(c1_squared: float, beta0: float) -> float:
     from multiples of pi/2. The excluded points form the degenerate locus
     where the limiting value is 2 (reported as such by scan_surface).
     """
-    c1_squared = float(c1_squared)
-    beta0 = float(beta0)
-    if not 0.0 < c1_squared < 1.0:
-        raise DomainError(
-            f"c1_squared must lie strictly inside (0, 1), got {c1_squared!r}"
-        )
-    _require_hardy_domain(math.sqrt(c1_squared), math.sqrt(1.0 - c1_squared), beta0)
+    c1_squared = _clamp_c1_squared(_require_finite("c1_squared", c1_squared))
+    beta0 = _require_hardy_domain(
+        math.sqrt(c1_squared), math.sqrt(1.0 - c1_squared), beta0
+    )
     tan = math.tan(beta0)
     cos = math.cos(beta0)
     return float(
@@ -231,41 +246,18 @@ def scan_surface(c1_sq_steps: int, beta0_steps: int) -> ScanGrid:
     )
 
 
-# ---------- optimizer ----------
+# ---------- the maximum ----------
 
 
-def optimize_delta(
-    coarse_c1_sq_steps: int = 201, coarse_beta0_steps: int = 181
-) -> tuple[float, float, float]:
-    """Locate the global maximum of the violation surface.
+def optimize_delta() -> tuple[float, float, float]:
+    """The global maximum of the violation surface, in closed form.
 
-    Deterministic coarse grid followed by coordinate descent with
-    shrinking steps (no randomness; the surface is smooth and
-    two-dimensional). Returns (c1_squared, beta0 in radians, delta).
+    Returns (c1_squared, beta0 in radians, delta) at the mirror point
+    c1^2 = 1/(1 + r^2), tan(beta0) = r^(-3/2); delta equals DELTA_MAX.
     """
-    grid = scan_surface(coarse_c1_sq_steps, coarse_beta0_steps)
-    i, j = np.unravel_index(int(np.argmax(grid.delta)), grid.delta.shape)
-    x = float(grid.c1_squared[i])
-    beta0 = math.radians(float(grid.beta0_deg[j]))
-    best = float(grid.delta[i, j])
-
-    step_x = float(grid.c1_squared[1] - grid.c1_squared[0])
-    step_b = math.radians(float(grid.beta0_deg[1] - grid.beta0_deg[0]))
-    while step_x > 1e-10 or step_b > 1e-10:
-        improved = False
-        for dx, db in ((step_x, 0.0), (-step_x, 0.0), (0.0, step_b), (0.0, -step_b)):
-            nx, nb = x + dx, beta0 + db
-            try:
-                value = delta_closed_form(nx, nb)
-            except DomainError:
-                continue
-            if value > best:
-                x, beta0, best = nx, nb, value
-                improved = True
-        if not improved:
-            step_x /= 2.0
-            step_b /= 2.0
-    return x, beta0, best
+    c1_squared = 1.0 / (1.0 + _OPTIMAL_RATIO**2)
+    beta0 = math.atan(_OPTIMAL_RATIO**-1.5)
+    return c1_squared, beta0, delta_closed_form(c1_squared, beta0)
 
 
 # ---------- maximally entangled free-angle maxima ----------

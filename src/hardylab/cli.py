@@ -370,15 +370,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    manifest = RunManifest(
-        "optimize",
-        parameters=(
-            ("c1sq_steps", str(args.c1sq_steps)),
-            ("beta0_steps", str(args.beta0_steps)),
-        ),
-    )
-    _print_manifest(manifest)
-    c1_squared, beta0, delta = optimize_delta(args.c1sq_steps, args.beta0_steps)
+    _print_manifest(RunManifest("optimize"))
+    c1_squared, beta0, delta = optimize_delta()
     beta0_deg = math.degrees(beta0)
     p_hardy = solve_hardy(make_state(c1_squared), beta0).hardy_probability()
     print(f"c1_squared = {_fmt(c1_squared)}")
@@ -601,8 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("optimize", help="locate the maximal violation")
-    p.add_argument("--c1sq-steps", type=int, default=201, dest="c1sq_steps")
-    p.add_argument("--beta0-steps", type=int, default=181, dest="beta0_steps")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("lhv-sim", help="simulate a local hidden-variable strategy")

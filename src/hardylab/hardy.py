@@ -46,6 +46,7 @@ from .qstate import (
     SchmidtState,
     _entanglement_flags,
     _require_finite,
+    _require_real,
     _require_tolerance,
     entanglement_class,
 )
@@ -165,8 +166,8 @@ class HardySolution:
 def _hardy_domain(c1, c2, sin_2beta0):
     """(product, maximal, degenerate_beta0) flags of the Hardy domain.
 
-    The one Hardy-domain test, shared by solve_hardy, delta_closed_form,
-    the scan and the optimizer. c1, c2 are coefficient magnitudes and a
+    The one Hardy-domain test, shared by solve_hardy, delta_closed_form
+    and the scan. c1, c2 are coefficient magnitudes and a
     NaN sin(2 beta0) (from a non-finite beta0) counts as degenerate. Plain
     arithmetic: floats and broadcast numpy arrays both work.
     """
@@ -175,8 +176,10 @@ def _hardy_domain(c1, c2, sin_2beta0):
     return product, maximal, degenerate
 
 
-def _require_hardy_domain(c1: float, c2: float, beta0: float) -> None:
-    """Raise unless the magnitudes c1, c2 and beta0 admit a Hardy solution."""
+def _require_hardy_domain(c1: float, c2: float, beta0: float) -> float:
+    """beta0 as a float; raise unless it and the magnitudes c1, c2 admit a
+    Hardy solution."""
+    beta0 = _require_real("beta0", beta0)
     finite = math.isfinite(beta0)
     sin_2beta0 = math.sin(2.0 * beta0) if finite else math.nan
     product, maximal, degenerate = _hardy_domain(c1, c2, sin_2beta0)
@@ -187,6 +190,7 @@ def _require_hardy_domain(c1: float, c2: float, beta0: float) -> None:
         raise DomainError(f"beta0 must be finite, got {beta0!r}")
     if degenerate:
         raise DegenerateBeta0(f"beta0 = {beta0!r} rad is too close to a multiple of pi/2")
+    return beta0
 
 
 def solve_vanishing_condition(ratio_a: float) -> float:
@@ -198,10 +202,7 @@ def solve_vanishing_condition(ratio_a: float) -> float:
     (-1,-1) entry). A perfect square vanishes only at x = -a, so that
     value is returned; there is no other root.
     """
-    try:
-        ratio_a = float(ratio_a)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"ratio must be a real number, got {ratio_a!r}") from exc
+    ratio_a = _require_real("ratio", ratio_a)
     if not math.isfinite(ratio_a):
         raise DomainError(
             "coefficient ratio is undefined (division by a zero coefficient)"
@@ -220,7 +221,7 @@ def solve_hardy(
     states, and DegenerateBeta0 when beta0 is within tolerance of a
     multiple of pi/2 (the chain needs both tan(beta0) and cot(beta0)).
     """
-    _require_hardy_domain(abs(state.c1), abs(state.c2), beta0)
+    beta0 = _require_hardy_domain(abs(state.c1), abs(state.c2), beta0)
     ratio = state.c1 / state.c2
     tan0 = math.tan(beta0)
     return HardySolution(

@@ -52,11 +52,15 @@ class EntanglementClass(Enum):
     PARTIAL = "partial"
 
 
-def _require_finite(name: str, value: float) -> float:
+def _require_real(name: str, value: float) -> float:
     try:
-        value = float(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+
+
+def _require_finite(name: str, value: float) -> float:
+    value = _require_real(name, value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
@@ -159,6 +163,14 @@ def _check_sign(name: str, sign: float) -> float:
     return float(sign)
 
 
+def _clamp_c1_squared(c1_squared: float) -> float:
+    """A finite c1^2 clamped into [0, 1]; DomainError if it strays further
+    than the normalization tolerance (rounding residue)."""
+    if c1_squared < -NORMALIZATION_TOL or c1_squared > 1.0 + NORMALIZATION_TOL:
+        raise DomainError(f"c1_squared must lie in [0, 1], got {c1_squared!r}")
+    return min(max(c1_squared, 0.0), 1.0)
+
+
 def make_state(c1_squared: float, sign_c1: int = +1, sign_c2: int = +1) -> SchmidtState:
     """Build a state from c1^2 and explicit coefficient signs.
 
@@ -168,9 +180,7 @@ def make_state(c1_squared: float, sign_c1: int = +1, sign_c2: int = +1) -> Schmi
     c1_squared = _require_finite("c1_squared", c1_squared)
     s1 = _check_sign("sign_c1", sign_c1)
     s2 = _check_sign("sign_c2", sign_c2)
-    if c1_squared < -NORMALIZATION_TOL or c1_squared > 1.0 + NORMALIZATION_TOL:
-        raise DomainError(f"c1_squared must lie in [0, 1], got {c1_squared!r}")
-    c1_squared = min(max(c1_squared, 0.0), 1.0)
+    c1_squared = _clamp_c1_squared(c1_squared)
     return SchmidtState(
         c1=s1 * math.sqrt(c1_squared),
         c2=s2 * math.sqrt(1.0 - c1_squared),

@@ -5,11 +5,13 @@ amplitudes: build the two-qubit vector, build each measurement's
 eigenvectors, and square the inner product. No trigonometric closed
 forms are shared with the package, so agreement is meaningful. The
 local polytope is described here by its vertices, while the package
-tests its facets. Nothing here imports hardylab.
+tests its facets. The CHSH maximum is located here in Decimal
+arithmetic with square roots only. Nothing here imports hardylab.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -136,3 +138,35 @@ def random_local_mixture(rng: np.random.Generator):
         for i in range(4)
     )
     return target, weights
+
+
+# ---------- the maximal Hardy probability ----------
+
+
+def optimum_decimal(digits: int = 60):
+    """The mirror maximizer of the Hardy probability, in Decimal.
+
+    With tau the golden mean, r = (tau^2 - sqrt(tau^4 - 4))/2 solves
+    r + 1/r = tau^2 and r < 1. The maximizer c1^2 = r^2/(1 + r^2),
+    cos^2(beta0) = 1/(1 + r^3) has the mirror (1 - c1^2, 90 deg - beta0),
+    c1^2 = 1/(1 + r^2), cos^2(beta0) = r^3/(1 + r^3); the mirror is
+    returned as (c1_squared, cos_sq_beta0, p_hardy), where p_hardy should
+    equal 1/tau^5.
+
+    p_hardy is the (+1, +1) probability of settings beta12 = beta0 and
+    beta22 with tan(beta12) tan(beta22) = -(c1/c2)^3, all phases zero.
+    Its amplitude c1 cos(b12) cos(b22) + c2 sin(b12) sin(b22) equals
+    cos(b12) cos(b22) c1 (c2^2 - c1^2)/c2^2, and cos^2(b22) =
+    1/(1 + (c1/c2)^6 cot^2(beta0)), so only c1^2 and cos^2(beta0) enter.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        tau = (1 + Decimal(5).sqrt()) / 2
+        r = (tau**2 - (tau**4 - 4).sqrt()) / 2
+        x = 1 / (1 + r**2)
+        cos_sq = r**3 / (1 + r**3)
+        y = 1 - x
+        cot_sq = cos_sq / (1 - cos_sq)
+        cos_sq_b22 = 1 / (1 + (x / y) ** 3 * cot_sq)
+        p_hardy = cos_sq * cos_sq_b22 * x * (y - x) ** 2 / y**2
+        return x, cos_sq, p_hardy

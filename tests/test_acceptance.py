@@ -42,7 +42,7 @@ from hardylab.lhv import (
     simulate,
 )
 from hardylab.qstate import ExperimentConfig, MeasurementSetting, make_state
-from oracles import oracle_correlation, oracle_probabilities
+from oracles import optimum_decimal, oracle_correlation, oracle_probabilities
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,19 +71,18 @@ def big_grid():
 def test_criterion_01_optimizer_peak(optimum):
     c1_squared, beta0, delta, elapsed = optimum
     beta0_deg = math.degrees(beta0)
+    oracle_x, oracle_cos_sq, _ = optimum_decimal()
+    oracle_beta0_deg = math.degrees(math.acos(math.sqrt(float(oracle_cos_sq))))
+    x_gap = abs(c1_squared - float(oracle_x))
+    beta0_gap = abs(beta0_deg - oracle_beta0_deg)
     value_ok = abs(delta - 2.3606797749979) <= 1e-9
-    at_primary = abs(c1_squared - 0.177352) <= 1e-4 and abs(beta0_deg - 17.5566) <= 1e-4
-    at_mirror = (
-        abs(c1_squared - (1.0 - 0.177352)) <= 1e-4
-        and abs(beta0_deg - (90.0 - 17.5566)) <= 1e-4
-    )
-    ok = value_ok and (at_primary or at_mirror) and elapsed < 10.0
+    ok = value_ok and x_gap <= 1e-12 and beta0_gap <= 1e-10 and elapsed < 10.0
     report(
         1,
         "optimizer peak",
         ok,
-        f"delta={delta:.12f}, point=({c1_squared:.6f}, {beta0_deg:.4f} deg), "
-        f"{'mirror' if at_mirror else 'primary'}, {elapsed:.2f}s",
+        f"delta={delta:.12f}, point=({c1_squared:.12f}, {beta0_deg:.10f} deg), "
+        f"gap to the Decimal oracle=({x_gap:.2g}, {beta0_gap:.2g} deg), {elapsed:.2f}s",
     )
 
 

@@ -1,6 +1,7 @@
 """CHSH evaluation routes, the violation surface, the optimizer, and
 the maximally entangled free-angle maxima."""
 
+import inspect
 import math
 
 import numpy as np
@@ -25,13 +26,14 @@ from hardylab.chsh import (
     scan_surface,
 )
 from hardylab.correlations import CorrelationSet
-from hardylab.hardy import DegenerateBeta0, _hardy_domain, solve_hardy
+from hardylab.hardy import DegenerateBeta0, NotPartiallyEntangled, _hardy_domain, solve_hardy
 from hardylab.qstate import (
     DomainError,
     ExperimentConfig,
     MeasurementSetting,
     make_state,
 )
+from oracles import optimum_decimal, oracle_probabilities
 
 # Frozen goldens at the rational sample point (c1^2, beta0) = (1/4, 30 deg).
 GOLDEN_SAMPLE_DELTA = 2.3
@@ -50,6 +52,12 @@ def _solved_config(c1_squared, beta0):
     return solve_hardy(make_state(c1_squared), beta0).config()
 
 
+def _oracle_optimum():
+    """(c1^2, beta0 in degrees) of the Decimal oracle's mirror maximizer."""
+    c1_squared, cos_sq_beta0, _ = optimum_decimal()
+    return float(c1_squared), math.degrees(math.acos(math.sqrt(float(cos_sq_beta0))))
+
+
 class TestConstants:
     def test_golden_mean_fixed_point(self):
         assert GOLDEN_MEAN**2 == pytest.approx(GOLDEN_MEAN + 1.0, abs=1e-15)
@@ -62,7 +70,12 @@ class TestConstants:
         peak = delta_closed_form(
             OPTIMAL_C1_SQUARED, math.radians(OPTIMAL_BETA0_DEG)
         )
-        assert peak == pytest.approx(DELTA_MAX, abs=1e-9)
+        assert peak == pytest.approx(DELTA_MAX, abs=1e-15)
+
+    def test_maximizer_is_the_mirror_of_the_oracle_point(self):
+        oracle_x, oracle_beta0_deg = _oracle_optimum()
+        assert abs(OPTIMAL_C1_SQUARED - (1.0 - oracle_x)) <= 1e-12
+        assert abs(OPTIMAL_BETA0_DEG - (90.0 - oracle_beta0_deg)) <= 1e-10
 
 
 class TestGoldenSample:
@@ -140,14 +153,21 @@ domain_edge_c1sq = st.one_of(
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
+NON_NUMERIC = ("x", None)
 
-# c1^2 in (0, 1) and beta0, weighted toward the edges of the Hardy
-# domain: within 1e-8 of c1^2 = 0, 1/2, 1 and of beta0 = 0, pi/2.
+# c1^2 at and just beyond the ends of [0, 1]: within make_state's
+# rounding allowance (clamped, a product state) and outside it (refused).
+OFF_RANGE_C1SQ = (0.0, 1.0, -5e-13, 1.0 + 5e-13, -2e-12, 1.0 + 2e-12, -0.1, 1.1)
+
+# c1^2 in [0, 1] and beta0, weighted toward the edges of the Hardy
+# domain: c1^2 = 0, 1 exactly and within 1e-8 of c1^2 = 0, 1/2, 1, and
+# beta0 within 1e-8 of 0, pi/2.
 edge_c1sq = st.one_of(
-    st.floats(min_value=0.0, max_value=1e-8, exclude_min=True),
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=0.0, max_value=1e-8),
     st.floats(min_value=0.5 - 1e-8, max_value=0.5 + 1e-8),
-    st.floats(min_value=1.0 - 1e-8, max_value=1.0, exclude_max=True),
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1.0 - 1e-8, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
 )
 edge_beta0 = st.one_of(
     st.floats(min_value=-1e-8, max_value=1e-8),
@@ -171,7 +191,14 @@ def _solve(c1_squared, beta0):
 
 
 class TestClosedFormDomain:
-    @given(c1_squared=domain_edge_c1sq, beta0=st.sampled_from([0.3, *NON_FINITE]))
+    @given(
+        c1_squared=st.one_of(domain_edge_c1sq, st.sampled_from(OFF_RANGE_C1SQ + NON_NUMERIC)),
+        beta0=st.sampled_from([0.3, *NON_FINITE, *NON_NUMERIC]),
+    )
+    @example(c1_squared="x", beta0=0.3)
+    @example(c1_squared=0.3, beta0="x")
+    @example(c1_squared=0.3, beta0=None)
+    @example(c1_squared=None, beta0=None)
     @example(c1_squared=0.5, beta0=0.3)
     @example(c1_squared=0.5 + 1e-11, beta0=0.3)
     @example(c1_squared=1e-19, beta0=0.3)
@@ -194,9 +221,10 @@ class TestClosedFormDomain:
         betas=st.lists(edge_beta0, min_size=1, max_size=6),
     )
     @example(xs=[0.5 - 5e-10, 0.5 + 5e-10, 1e-19, 0.3], betas=[1e-10, 5e-10, math.nan, 0.3])
+    @example(xs=[0.0, 1.0, 0.3], betas=[0.3, 0.0])
     @settings(max_examples=300, deadline=None)
     def test_scalar_and_array_domains_agree(self, xs, betas):
-        inside = [x for x in xs if 0.0 < x < 1.0]
+        inside = [x for x in xs if 0.0 <= x <= 1.0]
         x = np.array(inside)[:, None]
         b = np.array(betas)[None, :]
         with np.errstate(invalid="ignore"):
@@ -208,13 +236,17 @@ class TestClosedFormDomain:
                 refusal = _refusal(_solve, c1_squared, beta0)
                 closed = _refusal(delta_closed_form, c1_squared, beta0)
                 assert type(closed) is type(refusal)
+                assert str(closed) == str(refusal)
                 if c1_squared in inside:
                     assert off_domain[inside.index(c1_squared), j] == (refusal is not None)
 
     @pytest.mark.parametrize("c1_squared", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_boundary_states(self, c1_squared):
-        with pytest.raises(DomainError):
+        # The ends are product states; beyond them c1^2 is out of range.
+        expected = NotPartiallyEntangled if c1_squared in (0.0, 1.0) else DomainError
+        with pytest.raises(DomainError) as info:
             delta_closed_form(c1_squared, 0.3)
+        assert type(info.value) is expected
 
     @pytest.mark.parametrize("beta0", [0.0, math.pi / 2.0, math.pi, -math.pi])
     def test_rejects_degenerate_beta0(self, beta0):
@@ -323,28 +355,59 @@ class TestScanSurface:
 class TestOptimizer:
     def test_finds_global_maximum(self):
         x, beta0, delta = optimize_delta()
-        assert delta == pytest.approx(DELTA_MAX, abs=1e-9)
-        beta0_deg = math.degrees(beta0)
-        primary = (
-            abs(x - OPTIMAL_C1_SQUARED) <= 1e-4
-            and abs(beta0_deg - OPTIMAL_BETA0_DEG) <= 1e-4
-        )
-        mirror = (
-            abs(x - (1.0 - OPTIMAL_C1_SQUARED)) <= 1e-4
-            and abs(beta0_deg - (90.0 - OPTIMAL_BETA0_DEG)) <= 1e-4
-        )
-        assert primary or mirror
+        assert delta == DELTA_MAX
+        oracle_x, oracle_beta0_deg = _oracle_optimum()
+        assert abs(x - oracle_x) <= 1e-12
+        assert abs(math.degrees(beta0) - oracle_beta0_deg) <= 1e-10
+
+    def test_is_closed_form(self, monkeypatch):
+        assert not inspect.signature(optimize_delta).parameters
+        calls = []
+
+        def no_scan(*args):
+            raise AssertionError("optimize_delta scanned the surface")
+
+        def counted(*args):
+            calls.append(args)
+            return delta_closed_form(*args)
+
+        monkeypatch.setattr(chsh, "scan_surface", no_scan)
+        monkeypatch.setattr(chsh, "delta_closed_form", counted)
+        assert optimize_delta()[2] == DELTA_MAX
+        assert len(calls) == 1
+
+    def test_is_stationary(self):
+        x, beta0, _ = optimize_delta()
+        h = 1e-5
+        d_x = (delta_closed_form(x + h, beta0) - delta_closed_form(x - h, beta0)) / (2 * h)
+        d_beta0 = (delta_closed_form(x, beta0 + h) - delta_closed_form(x, beta0 - h)) / (2 * h)
+        assert abs(d_x) <= 5e-9 and abs(d_beta0) <= 5e-9
+
+    def test_no_scan_cell_exceeds_the_maximum(self):
+        peak = optimize_delta()[2]
+        assert float(np.max(scan_surface(1001, 901).delta)) <= peak
+
+    def test_fixed_state_maximum_matches_fine_search(self):
+        # Hardy's fixed-state maximum P* = [c1 c2 (c1 - c2)/(1 - c1 c2)]^2
+        # at tan^2(beta0) = (c1/c2)^3, against a 20 001-point beta0 grid
+        # of the state-vector oracle.
+        rng = np.random.default_rng(1993)
+        states = np.concatenate([rng.uniform(0.02, 0.48, 10), rng.uniform(0.52, 0.98, 10)])
+        beta0 = np.linspace(0.0, math.pi / 2.0, 20001)[1:-1]
+        for x in states.tolist():
+            c1, c2 = math.sqrt(x), math.sqrt(1.0 - x)
+            p_star = (c1 * c2 * (c1 - c2) / (1.0 - c1 * c2)) ** 2
+            beta22 = np.arctan(-((c1 / c2) ** 3) / np.tan(beta0))
+            searched = float(np.max(oracle_probabilities(c1, c2, beta0, 0.0, beta22, 0.0)[(1, 1)]))
+            assert p_star - 1e-9 <= searched <= p_star + 1e-15
+            at_argmax = delta_closed_form(x, math.atan((c1 / c2) ** 1.5))
+            assert at_argmax == pytest.approx(2.0 + 4.0 * p_star, abs=1e-12)
 
     def test_maximum_matches_hardy_probability(self):
         x, beta0, delta = optimize_delta()
         p = solve_hardy(make_state(x), beta0).hardy_probability()
         assert delta == pytest.approx(2.0 + 4.0 * p, abs=1e-9)
         assert p == pytest.approx(GOLDEN_MEAN**-5, abs=1e-9)
-
-    @pytest.mark.parametrize("steps", [(math.nan, 5), (201, 2.5), ("201", 181)])
-    def test_rejects_non_integer_steps(self, steps):
-        with pytest.raises(DomainError, match="at least 2 steps"):
-            optimize_delta(*steps)
 
 
 class TestMaximalFreeAngle:

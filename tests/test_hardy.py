@@ -78,6 +78,11 @@ class TestSolveErrors:
         with pytest.raises(DomainError):
             solve_hardy(make_state(0.3), float("nan"))
 
+    @pytest.mark.parametrize("beta0", ["x", None, 1j])
+    def test_non_numeric_beta0(self, beta0):
+        with pytest.raises(DomainError, match="beta0 must be a real number"):
+            solve_hardy(make_state(0.3), beta0)
+
 
 class TestVanishingCondition:
     def test_returns_negated_ratio(self):
