@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .correlations import CorrelationSet, batch_probabilities, correlation_set, pair_distributions
 from .hardy import _hardy_domain, _require_hardy_domain
@@ -43,6 +41,9 @@ from .qstate import (
     _require_finite,
     _require_tolerance,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GOLDEN_MEAN",
@@ -203,7 +204,7 @@ class ScanGrid:
 
     def max_cell(self) -> tuple[float, float, float]:
         """(c1_squared, beta0_deg, delta) of the largest-delta cell."""
-        i, j = np.unravel_index(int(np.argmax(self.delta)), self.delta.shape)
+        i, j = divmod(int(self.delta.argmax()), self.delta.shape[1])
         return float(self.c1_squared[i]), float(self.beta0_deg[j]), float(self.delta[i, j])
 
 
@@ -220,6 +221,8 @@ def scan_surface(c1_sq_steps: int, beta0_steps: int) -> ScanGrid:
         raise DomainError(
             f"a {n_x}x{n_b} grid exceeds the limit of {MAX_SCAN_CELLS} cells"
         )
+    import numpy as np
+
     c1sq_axis = np.linspace(0.0, 1.0, n_x)
     beta0_deg_axis = np.linspace(0.0, 90.0, n_b)
     x = c1sq_axis[:, None]

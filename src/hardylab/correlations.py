@@ -14,17 +14,17 @@ They sum to one, and the expectation of the outcome product reduces to
 
     E = cos(2 b1) cos(2 b2) + 2 c1 c2 cos(d) sin(2 b1) sin(2 b2).
 
-The batch_* functions evaluate these formulas on scalars or numpy
-arrays (broadcasting); the object-level API wraps them in validated
-value types.
+Each formula is written once, as plain arithmetic over precomputed
+cos/sin values. The batch_* functions feed it numpy trig and so take
+scalars or broadcast numpy arrays; the object-level API feeds it math
+trig and wraps the result in validated value types.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .qstate import (
     OUTCOME_ORDER,
@@ -53,10 +53,11 @@ __all__ = [
 ROUNDING_TOL = 1e-12
 
 
-def batch_probabilities(c1, c2, beta1, beta2, delta12):
-    """Return (p_pp, p_mm, p_pm, p_mp); inputs broadcast like numpy ufuncs."""
-    cb1, sb1 = np.cos(beta1), np.sin(beta1)
-    cb2, sb2 = np.cos(beta2), np.sin(beta2)
+def _probability_kernel(c1, c2, cb1, sb1, cb2, sb2, cos_d):
+    """(p_pp, p_mm, p_pm, p_mp) from cos/sin of beta1, beta2 and cos(d).
+
+    Plain arithmetic: floats and broadcast numpy arrays both work.
+    """
     cc = cb1 * cb1 * cb2 * cb2
     ss = sb1 * sb1 * sb2 * sb2
     cs = cb1 * cb1 * sb2 * sb2
@@ -64,7 +65,7 @@ def batch_probabilities(c1, c2, beta1, beta2, delta12):
     c1sq = c1 * c1
     c2sq = c2 * c2
     # 1/2 sin(2b1) sin(2b2) = 2 sin(b1) cos(b1) sin(b2) cos(b2)
-    cross = 2.0 * c1 * c2 * np.cos(delta12) * sb1 * cb1 * sb2 * cb2
+    cross = 2.0 * c1 * c2 * cos_d * sb1 * cb1 * sb2 * cb2
     p_pp = c1sq * cc + c2sq * ss + cross
     p_mm = c1sq * ss + c2sq * cc + cross
     p_pm = c1sq * cs + c2sq * sc - cross
@@ -72,11 +73,28 @@ def batch_probabilities(c1, c2, beta1, beta2, delta12):
     return p_pp, p_mm, p_pm, p_mp
 
 
+def _correlation_kernel(c1, c2, c2b1, s2b1, c2b2, s2b2, cos_d):
+    """E from cos/sin of 2 beta1, 2 beta2 and cos(d); plain arithmetic."""
+    return c2b1 * c2b2 + 2.0 * c1 * c2 * cos_d * s2b1 * s2b2
+
+
+def batch_probabilities(c1, c2, beta1, beta2, delta12):
+    """Return (p_pp, p_mm, p_pm, p_mp); inputs broadcast like numpy ufuncs."""
+    import numpy as np
+
+    return _probability_kernel(
+        c1, c2, np.cos(beta1), np.sin(beta1), np.cos(beta2), np.sin(beta2), np.cos(delta12)
+    )
+
+
 def batch_correlation(c1, c2, beta1, beta2, delta12):
     """Expectation of the outcome product; inputs broadcast."""
-    return np.cos(2.0 * beta1) * np.cos(2.0 * beta2) + 2.0 * c1 * c2 * np.cos(
-        delta12
-    ) * np.sin(2.0 * beta1) * np.sin(2.0 * beta2)
+    import numpy as np
+
+    b1, b2 = 2.0 * beta1, 2.0 * beta2
+    return _correlation_kernel(
+        c1, c2, np.cos(b1), np.sin(b1), np.cos(b2), np.sin(b2), np.cos(delta12)
+    )
 
 
 def _clamp_probability(name: str, value: float) -> float:
@@ -163,10 +181,13 @@ def joint_distribution(
     state: SchmidtState, s1: MeasurementSetting, s2: MeasurementSetting
 ) -> JointDistribution:
     """Joint outcome probabilities for particle-1 setting s1, particle-2 s2."""
-    p_pp, p_mm, p_pm, p_mp = batch_probabilities(
-        state.c1, state.c2, s1.beta, s2.beta, _delta12(s1, s2)
+    b1, b2 = s1.beta, s2.beta
+    return JointDistribution(
+        *_probability_kernel(
+            state.c1, state.c2, math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2),
+            math.cos(_delta12(s1, s2)),
+        )
     )
-    return JointDistribution(float(p_pp), float(p_mm), float(p_pm), float(p_mp))
 
 
 def pair_distributions(config: ExperimentConfig) -> tuple[JointDistribution, ...]:
@@ -181,8 +202,10 @@ def correlation(
     state: SchmidtState, s1: MeasurementSetting, s2: MeasurementSetting
 ) -> float:
     """Expectation of the outcome product, from the closed form."""
-    return float(
-        batch_correlation(state.c1, state.c2, s1.beta, s2.beta, _delta12(s1, s2))
+    b1, b2 = 2.0 * s1.beta, 2.0 * s2.beta
+    return _correlation_kernel(
+        state.c1, state.c2, math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2),
+        math.cos(_delta12(s1, s2)),
     )
 
 

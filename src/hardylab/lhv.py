@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .qstate import OUTCOME_ORDER, PAIR_ORDER, DomainError, _key_value_lines
 from .qstate import _require_count, _require_finite, _require_tolerance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PAIR_ORDER",
@@ -289,12 +289,16 @@ class TrialTally:
 def _pair_rng(seed: int, pair_index: int) -> np.random.Generator:
     # Substream fixed by (seed, pair index): results do not depend on
     # how pairs are scheduled across workers.
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pair_index,)))
 
 
 def _simulate_pair(
     strategy: LhvStrategy, pair: tuple[int, int], trials: int, seed: int, pair_index: int
 ) -> tuple[int, int, int, int]:
+    import numpy as np
+
     rng = _pair_rng(seed, pair_index)
     k, l = pair
     if isinstance(strategy, MixtureStrategy):
@@ -353,6 +357,8 @@ def simulate(
     if workers == 1:
         rows = [_simulate_pair(*job) for job in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda job: _simulate_pair(*job), jobs))
     return TrialTally(trials_per_pair=trials, counts=tuple(rows))

@@ -280,4 +280,8 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 def config_from_file(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return config_from_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"cannot read config file: {exc}") from None
+    return config_from_text(text)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output contracts, exit codes, determinism, and
 file emission."""
 
+import json
 import math
 import os
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hardylab
-from hardylab import __version__, lhv
+from hardylab import __version__, cli, lhv
 from hardylab.chsh import scan_surface
 from hardylab.cli import (
     RunManifest,
@@ -140,6 +141,14 @@ class TestProbs:
         code, _, err = run_cli(capsys, "probs", "--config", str(path))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_non_utf8_config(self, capsys, tmp_path):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"c1_squared = 0.3\xff\n")
+        code, out, err = run_cli(capsys, "probs", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read config file:")
+        assert err.count("\n") == 1
 
 
 class TestCorrelation:
@@ -404,6 +413,17 @@ class TestOptimize:
             "within_tolerance = true",
         ]
 
+    def test_within_tolerance_checks_the_probability_route(self, capsys, monkeypatch):
+        # A Hardy probability taken off the maximizer must break
+        # delta = 2 + 4 p_hardy, and with it within_tolerance.
+        monkeypatch.setattr(
+            cli, "solve_hardy", lambda state, beta0: solve_hardy(state, beta0 + 0.01)
+        )
+        code, out, err = run_cli(capsys, "optimize")
+        assert code == 1
+        assert out.splitlines()[-1] == "within_tolerance = false"
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_rejects_step_flags(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--c1sq-steps", "5")
         assert code == 2 and out == ""
@@ -465,6 +485,14 @@ class TestLhvSim:
         )
         assert code == 1
         assert "cannot read strategy file" in err
+
+    def test_non_utf8_strategy_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.lhv"
+        path.write_bytes(b"type = mixture\xff\n")
+        code, out, err = run_cli(capsys, "lhv-sim", "--strategy", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read strategy file:")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "breakpoints,density",
@@ -650,6 +678,58 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--version")
         assert code == 0
         assert f"hardylab {__version__}" in out + err
+
+
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+from hardylab import cli
+
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    report.append([code, "numpy" in sys.modules, "concurrent.futures" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+class TestLightStartup:
+    """Scalar subcommands run without numpy or a thread pool in the process."""
+
+    def test_scalar_subcommands_load_no_numpy(self, tmp_path, solved_config_path):
+        (tmp_path / "s.lhv").write_text(ANTICORRELATED_TEXT, encoding="utf-8")
+        solve = ["hardy-solve", "--c1-squared"]
+        light = [
+            (["probs", "--config", solved_config_path], 0),
+            (["correlation", "--config", solved_config_path], 0),
+            (["correlation", "--config", solved_config_path, "--pair", "12"], 0),
+            (solve + ["0.3", "--beta0-deg", "40"], 0),
+            (solve + ["0.5", "--beta0-deg", "40"], 1),
+            (solve + ["0.3", "--beta0-deg", "1e-8"], 1),
+            (solve + ["0.3", "--beta0-deg", "nan"], 1),
+            (["hardy-check", "--config", solved_config_path], 0),
+            (["inequality"], 0),
+            (["inequality", "--values", "0.1", "0.01", "0.02", "0.03"], 0),
+            (["inequality", "--config", solved_config_path], 0),
+            (["optimize"], 0),
+            (["--version"], 0),
+            (["frobnicate"], 2),
+        ]
+        heavy = [
+            (["scan", "--c1sq-steps", "5", "--beta0-steps", "4", "--svg", "g.svg"], 0),
+            (["verify"], 0),
+            (["lhv-sim", "--strategy", "s.lhv", "--trials", "200"], 0),
+        ]
+        argvs = json.dumps([argv for argv, _ in light + heavy])
+        env = dict(os.environ, PYTHONPATH=str(Path(hardylab.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, argvs],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        report = json.loads(proc.stdout)
+        # Each light run is checked before any heavy run loads numpy.
+        assert report[: len(light)] == [[code, False, False] for _, code in light]
+        assert [code for code, _, _ in report[len(light):]] == [code for _, code in heavy]
 
 
 class TestInstalledEntryPoint:

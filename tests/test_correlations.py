@@ -22,6 +22,7 @@ from hardylab.correlations import (
 )
 from hardylab.qstate import (
     OUTCOME_ORDER,
+    PAIR_ORDER,
     DomainError,
     ExperimentConfig,
     MeasurementSetting,
@@ -232,29 +233,48 @@ class TestPerfectCorrelation:
 
 class TestPairDistributions:
     def test_match_amplitudes_on_seeded_configs(self):
+        # The scalar path feeds the shared kernels math trig and the batch
+        # functions feed them numpy trig. They agree bit for bit where libm
+        # and numpy's trig do; 4e-16 allows the last ulp on other CPUs.
         rng = np.random.default_rng(20240601)
-        for _ in range(200):
-            state = make_state(
-                float(rng.uniform(0.0, 1.0)),
-                sign_c1=int(rng.choice((1, -1))),
-                sign_c2=int(rng.choice((1, -1))),
+        configs = [
+            ExperimentConfig(
+                make_state(
+                    float(rng.uniform(0.0, 1.0)),
+                    sign_c1=int(rng.choice((1, -1))),
+                    sign_c2=int(rng.choice((1, -1))),
+                ),
+                *(
+                    MeasurementSetting(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2))
+                    for _ in range(4)
+                ),
             )
-            d11, d12, d21, d22 = (
-                MeasurementSetting(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2))
-                for _ in range(4)
-            )
-            config = ExperimentConfig(state=state, d11=d11, d12=d12, d21=d21, d22=d22)
-            pairs = ((d11, d21), (d11, d22), (d12, d21), (d12, d22))
-            distributions = pair_distributions(config)
-            assert len(distributions) == 4
-            for dist, (s1, s2) in zip(distributions, pairs):
-                reference = oracle_probabilities(
-                    state.c1, state.c2, s1.beta, s1.delta, s2.beta, s2.delta
+            for _ in range(2000)
+        ]
+        tables = [pair_distributions(config) for config in configs]
+        assert all(len(table) == 4 for table in tables)
+        c1 = np.array([config.state.c1 for config in configs])
+        c2 = np.array([config.state.c2 for config in configs])
+        for index, (k, l) in enumerate(PAIR_ORDER):
+            s1, s2 = zip(*(config.pair(k, l) for config in configs))
+            beta1, delta1 = np.array([(s.beta, s.delta) for s in s1]).T
+            beta2, delta2 = np.array([(s.beta, s.delta) for s in s2]).T
+            reference = oracle_probabilities(c1, c2, beta1, delta1, beta2, delta2)
+            batch = dict(
+                zip(
+                    ((1, 1), (-1, -1), (1, -1), (-1, 1)),
+                    batch_probabilities(c1, c2, beta1, beta2, delta1 - delta2),
                 )
-                for outcome in OUTCOME_ORDER:
-                    assert dist.probability(*outcome) == pytest.approx(
-                        float(reference[outcome]), abs=1e-12
-                    )
+            )
+            for outcome in OUTCOME_ORDER:
+                scalar = np.array([table[index].probability(*outcome) for table in tables])
+                assert np.max(np.abs(scalar - reference[outcome])) <= 1e-12
+                assert np.max(np.abs(scalar - batch[outcome])) <= 4e-16
+            scalar_e = np.array(
+                [correlation(config.state, a, b) for config, a, b in zip(configs, s1, s2)]
+            )
+            batch_e = batch_correlation(c1, c2, beta1, beta2, delta1 - delta2)
+            assert np.max(np.abs(scalar_e - batch_e)) <= 4e-16
 
     def test_equal_scalar_calls_bit_for_bit(self):
         config = ExperimentConfig(

@@ -20,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-CONFIGS = {
+CONFIGS: dict[str, str | bytes] = {
     # Solved Hardy config for c1^2 = 0.25, beta0 = 30 deg.
     "solved.cfg": (
         "c1_squared = 0.25\nbeta_11_deg = 60\nbeta_12_deg = 30\n"
@@ -41,6 +41,7 @@ CONFIGS = {
     "repeated_key.cfg": "c1_squared = 0.3\n\n# note\nc1_squared = 0.4\n",
     "not_number.cfg": "c1_squared = 0.3\nbeta_11_deg = abc\n",
     "missing_key.cfg": "c1_squared = 0.3\nbeta_11_deg = 1\n",
+    "not_utf8.cfg": b"c1_squared = 0.3\xff\n",
     "mixture.lhv": (
         "type = mixture\nweight_ppmm = 1/3\nweight_mmpp = 1/6\n"
         "weight_pmpm = 0.25\nweight_mpmp = 1/4\n"
@@ -54,6 +55,7 @@ CONFIGS = {
     "unknown_type.lhv": "type = other\n",
     "missing_type.lhv": "weight_ppmm = 1\n",
     "unknown_key.lhv": "type = mixture\nweight_ppmm = 1\nbogus = 2\n",
+    "not_utf8.lhv": b"type = mixture\xff\n",
 }
 
 PAIRS = ("11", "12", "21", "22")
@@ -147,7 +149,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, text in CONFIGS.items():
-            (work / name).write_text(text, encoding="utf-8")
+            data = text if isinstance(text, bytes) else text.encode("utf-8")
+            (work / name).write_bytes(data)
         for argv, files in cases():
             old = run_case(args.old_src.resolve(), work, argv, files)
             new = run_case(args.new_src.resolve(), work, argv, files)
