@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .correlations import CorrelationSet, batch_probabilities, correlation_set, pair_distributions
+from .correlations import CorrelationSet, _pair_tables, batch_probabilities, correlation_set
 from .hardy import _hardy_domain, _require_hardy_domain
 from .qstate import (
     DomainError,
@@ -118,7 +118,7 @@ def delta_from_probabilities(config: ExperimentConfig) -> float:
     outcomes agree; equivalent to the correlation route through
     E = 2 P= - 1.
     """
-    p11, p12, p21, p22 = (dist.equal_outcome for dist in pair_distributions(config))
+    p11, p12, p21, p22 = (p_pp + p_mm for p_pp, p_mm, _, _ in _pair_tables(config))
     return 2.0 * abs(p11 + p12 + p21 - p22 - 1.0)
 
 
@@ -282,10 +282,16 @@ def maximal_free_angle_delta(
     """
     if (beta_diffs is None) == (delta_diffs is None):
         raise DomainError("pass exactly one of beta_diffs or delta_diffs")
-    diffs = beta_diffs if beta_diffs is not None else delta_diffs
-    values = [float(v) for v in diffs]
+    if beta_diffs is not None:
+        name, diffs, scale = "beta_diffs", beta_diffs, 2.0
+    else:
+        name, diffs, scale = "delta_diffs", delta_diffs, 1.0
+    try:
+        items = list(diffs)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence of 4 numbers, got {diffs!r}") from None
+    values = [_require_finite(f"{name}[{i}]", v) for i, v in enumerate(items)]
     if len(values) != 4:
         raise DomainError(f"expected 4 angle differences, got {len(values)}")
-    scale = 2.0 if beta_diffs is not None else 1.0
     d1, d2, d3, d4 = (scale * v for v in values)
     return abs(math.cos(d1) + math.cos(d2) + math.cos(d3) - math.cos(d4))

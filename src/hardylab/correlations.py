@@ -17,7 +17,9 @@ They sum to one, and the expectation of the outcome product reduces to
 Each formula is written once, as plain arithmetic over precomputed
 cos/sin values. The batch_* functions feed it numpy trig and so take
 scalars or broadcast numpy arrays; the object-level API feeds it math
-trig and wraps the result in validated value types.
+trig and wraps the result in validated value types. The four-pair
+probability table of an ExperimentConfig is computed once and kept on
+the instance (_pair_tables); every probability-route function reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .qstate import (
-    OUTCOME_ORDER,
     PAIR_ORDER,
     DomainError,
     ExperimentConfig,
@@ -97,13 +98,32 @@ def batch_correlation(c1, c2, beta1, beta2, delta12):
     )
 
 
-def _clamp_probability(name: str, value: float) -> float:
-    value = float(value)
-    if value < -ROUNDING_TOL or value > 1.0 + ROUNDING_TOL:
-        # Rounding residue never grows this large; a violation means a
-        # formula bug upstream, not bad user input.
-        raise ValueError(f"internal error: {name} = {value!r} is not a probability")
-    return min(max(value, 0.0), 1.0)
+# Index of each outcome pair (outcome1, outcome2) in a probability table,
+# which is ordered like _probability_kernel's result.
+_TABLE_INDEX = {(1, 1): 0, (-1, -1): 1, (1, -1): 2, (-1, 1): 3}
+
+_TABLE_NAMES = ("p_pp", "p_mm", "p_pm", "p_mp")
+
+
+def _checked_table(table) -> tuple[float, float, float, float]:
+    """(p_pp, p_mm, p_pm, p_mp) as floats, entries within rounding
+    tolerance of [0, 1] clamped onto it; ValueError unless every entry is
+    that close and the four sum to one within the same tolerance.
+
+    Rounding residue never grows this large; a violation means a formula
+    bug upstream, not bad user input.
+    """
+    p_pp, p_mm, p_pm, p_mp = table = tuple(map(float, table))
+    if not (0.0 <= p_pp <= 1.0 and 0.0 <= p_mm <= 1.0 and 0.0 <= p_pm <= 1.0
+            and 0.0 <= p_mp <= 1.0):
+        for name, value in zip(_TABLE_NAMES, table):
+            if value < -ROUNDING_TOL or value > 1.0 + ROUNDING_TOL:
+                raise ValueError(f"internal error: {name} = {value!r} is not a probability")
+        p_pp, p_mm, p_pm, p_mp = table = tuple(min(max(value, 0.0), 1.0) for value in table)
+    residue = abs(p_pp + p_mm + p_pm + p_mp - 1.0)
+    if residue > ROUNDING_TOL:
+        raise ValueError(f"internal error: probabilities sum to 1 {residue:.3e} off")
+    return table
 
 
 @dataclass(frozen=True)
@@ -120,23 +140,19 @@ class JointDistribution:
     p_mp: float
 
     def __post_init__(self) -> None:
-        for name in ("p_pp", "p_mm", "p_pm", "p_mp"):
-            object.__setattr__(self, name, _clamp_probability(name, getattr(self, name)))
-        residue = abs(self.p_pp + self.p_mm + self.p_pm + self.p_mp - 1.0)
-        if residue > ROUNDING_TOL:
-            raise ValueError(
-                f"internal error: probabilities sum to 1 {residue:.3e} off"
-            )
+        table = _checked_table((self.p_pp, self.p_mm, self.p_pm, self.p_mp))
+        for name, value in zip(_TABLE_NAMES, table):
+            object.__setattr__(self, name, value)
 
     def probability(self, outcome1: int, outcome2: int) -> float:
         """P(first particle -> outcome1, second -> outcome2), outcomes +-1."""
-        entries = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)  # OUTCOME_ORDER
         try:
-            return entries[OUTCOME_ORDER.index((outcome1, outcome2))]
-        except ValueError:
+            index = _TABLE_INDEX[(outcome1, outcome2)]
+        except (KeyError, TypeError):
             raise DomainError(
                 f"outcomes must be +1 or -1, got ({outcome1!r}, {outcome2!r})"
             ) from None
+        return (self.p_pp, self.p_mm, self.p_pm, self.p_mp)[index]
 
     @property
     def equal_outcome(self) -> float:
@@ -190,12 +206,35 @@ def joint_distribution(
     )
 
 
+def _pair_tables(config: ExperimentConfig) -> tuple[tuple[float, float, float, float], ...]:
+    """The checked (p_pp, p_mm, p_pm, p_mp) tables of the four setting
+    pairs, in PAIR_ORDER, computed once per config.
+
+    The config is immutable, so the tables are stored on the instance at
+    first use (outside the dataclass fields, so equality, hashing, repr
+    and pickling do not see them) and every later call returns them.
+    """
+    tables = config.__dict__.get("_pair_tables")
+    if tables is None:
+        c1, c2 = config.state.c1, config.state.c2
+        # cos/sin of each beta once; the nested loops run in PAIR_ORDER.
+        particle1, particle2 = (
+            [(math.cos(s.beta), math.sin(s.beta), s.delta) for s in settings]
+            for settings in ((config.d11, config.d12), (config.d21, config.d22))
+        )
+        tables = tuple(
+            _checked_table(_probability_kernel(c1, c2, cb1, sb1, cb2, sb2, math.cos(d1 - d2)))
+            for cb1, sb1, d1 in particle1
+            for cb2, sb2, d2 in particle2
+        )
+        object.__setattr__(config, "_pair_tables", tables)
+    return tables
+
+
 def pair_distributions(config: ExperimentConfig) -> tuple[JointDistribution, ...]:
     """The joint distributions of the four setting pairs, in PAIR_ORDER:
     (D11,D21), (D11,D22), (D12,D21), (D12,D22)."""
-    return tuple(
-        joint_distribution(config.state, *config.pair(k, l)) for k, l in PAIR_ORDER
-    )
+    return tuple(JointDistribution(*table) for table in _pair_tables(config))
 
 
 def correlation(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .correlations import pair_distributions
+from .correlations import _TABLE_INDEX, _pair_tables
 from .qstate import (
     DomainError,
     EntanglementClass,
@@ -110,6 +110,14 @@ class HardyVariant(Enum):
         }[self]
 
 
+def _require_variant(variant) -> HardyVariant:
+    """The HardyVariant given as a member or its value; DomainError otherwise."""
+    try:
+        return HardyVariant(variant)
+    except ValueError:
+        raise DomainError(f"unknown Hardy variant {variant!r}") from None
+
+
 @dataclass(frozen=True)
 class HardyCheck:
     """The three must-vanish probabilities, the must-be-positive one, and
@@ -140,6 +148,9 @@ class HardySolution:
     beta22: float
     deltas: tuple[float, float, float, float]
     variant: HardyVariant = HardyVariant.CANONICAL
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", _require_variant(self.variant))
 
     @property
     def beta12(self) -> float:
@@ -250,12 +261,13 @@ def check_hardy(
     first pair_distributions table and the (f1, f2) entry of the others.
     """
     zero_tol = _require_tolerance("zero_tol", zero_tol)
-    f1, f2 = variant.sign_factors
-    first, second, third, fourth = pair_distributions(config)
-    p_a = first.probability(-f1, -f2)
-    p_b = second.probability(f1, f2)
-    p_c = third.probability(f1, f2)
-    p_d = fourth.probability(f1, f2)
+    f1, f2 = _require_variant(variant).sign_factors
+    first, second, third, fourth = _pair_tables(config)
+    same, flipped = _TABLE_INDEX[(f1, f2)], _TABLE_INDEX[(-f1, -f2)]
+    p_a = first[flipped]
+    p_b = second[same]
+    p_c = third[same]
+    p_d = fourth[same]
     satisfied = max(p_a, p_b, p_c) <= zero_tol and p_d > zero_tol
     return HardyCheck(p_a=p_a, p_b=p_b, p_c=p_c, p_d=p_d, satisfied=satisfied)
 

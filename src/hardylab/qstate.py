@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator
 
@@ -131,6 +131,20 @@ class ExperimentConfig:
     d12: MeasurementSetting
     d21: MeasurementSetting
     d22: MeasurementSetting
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.state, SchmidtState):
+            raise DomainError(f"state must be a SchmidtState, got {self.state!r}")
+        for name in ("d11", "d12", "d21", "d22"):
+            if not isinstance(getattr(self, name), MeasurementSetting):
+                raise DomainError(
+                    f"{name} must be a MeasurementSetting, got {getattr(self, name)!r}"
+                )
+
+    def __getstate__(self) -> dict:
+        # The fields only: what correlations caches on the instance is
+        # derived from them and must not change the pickled bytes.
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def setting(self, particle: int, index: int) -> MeasurementSetting:
         """Return D_(particle)(index) for particle, index in {1, 2}."""

@@ -436,6 +436,10 @@ class TestMaximalFreeAngle:
             {"beta_diffs": (0.1,) * 4, "delta_diffs": (0.1,) * 4},
             {"beta_diffs": (0.1, 0.2, 0.3)},
             {"delta_diffs": (0.1,) * 5},
+            {"beta_diffs": [1, 2, "x", 4]},
+            {"beta_diffs": 5},
+            {"beta_diffs": [1, 2, float("nan"), 4]},
+            {"delta_diffs": [1, 2, float("inf"), 4]},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):

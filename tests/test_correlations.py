@@ -1,12 +1,17 @@
 """Joint probabilities and correlations against the state-vector oracle."""
 
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hardylab.correlations as correlations_module
+from hardylab.chsh import delta_from_probabilities
 from hardylab.correlations import (
     CorrelationSet,
     JointDistribution,
@@ -19,7 +24,9 @@ from hardylab.correlations import (
     is_perfectly_correlated,
     joint_distribution,
     pair_distributions,
+    _pair_tables,
 )
+from hardylab.hardy import HardyVariant, check_hardy, hardy_inequality_lhs_rhs, solve_hardy
 from hardylab.qstate import (
     OUTCOME_ORDER,
     PAIR_ORDER,
@@ -187,6 +194,19 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="internal error"):
             JointDistribution(0.5, 0.5, 0.5, 0.0)
 
+    def test_keeps_signed_zero_and_exact_messages(self):
+        dist = JointDistribution(-0.0, 1, 0.0, 0.0)
+        assert math.copysign(1.0, dist.p_pp) == -1.0
+        assert type(dist.p_mm) is float
+        clamped = JointDistribution(-0.5 * ROUNDING_TOL, 1.0 + 0.5 * ROUNDING_TOL, 0.0, 0.0)
+        assert (math.copysign(1.0, clamped.p_pp), clamped.p_mm) == (1.0, 1.0)
+        message = "internal error: p_mm = -0.1 is not a probability"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDistribution(0.5, -0.1, 1.1, 0.0)
+        message = "internal error: probabilities sum to 1 5.000e-01 off"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDistribution(0.5, 0.5, 0.5, 0.0)
+
     def test_probability_validates_outcomes(self):
         dist = JointDistribution(0.25, 0.25, 0.25, 0.25)
         with pytest.raises(DomainError, match="outcomes"):
@@ -286,3 +306,103 @@ class TestPairDistributions:
                            (GOLDEN_S2, GOLDEN_S2), (GOLDEN_S2, GOLDEN_S1))
         )
         assert pair_distributions(config) == expected
+
+
+def _seeded_configs(count, seed):
+    """Configs built one at a time: Hardy-solved ones for every variant
+    and random ones with coefficient signs and phases."""
+    rng = np.random.default_rng(seed)
+    variants = list(HardyVariant)
+    for index in range(count):
+        state = make_state(
+            float(rng.uniform(0.02, 0.98)),
+            sign_c1=int(rng.choice((1, -1))),
+            sign_c2=int(rng.choice((1, -1))),
+        )
+        if index % 2:
+            yield ExperimentConfig(
+                state,
+                *(MeasurementSetting(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2))
+                  for _ in range(4)),
+            )
+        elif abs(state.c1_squared - 0.5) > 1e-3:
+            beta0 = float(rng.uniform(0.02, math.pi / 2.0 - 0.02))
+            yield solve_hardy(state, beta0, variants[index // 2 % 4]).config()
+
+
+def _hex(table):
+    return [value.hex() for value in table]
+
+
+class TestPairTables:
+    def test_equal_joint_distribution_bit_for_bit(self):
+        # Each config is dropped before the next is built, so a cache
+        # keyed by object id would hand a new config a stale table.
+        checked = 0
+        for config in _seeded_configs(2000, 20240602):
+            tables = _pair_tables(config)
+            expected = [
+                joint_distribution(config.state, *config.pair(k, l)) for k, l in PAIR_ORDER
+            ]
+            assert [_hex(table) for table in tables] == [
+                _hex(dataclasses.astuple(dist)) for dist in expected
+            ]
+            first, second, third, fourth = expected
+            for variant in HardyVariant:
+                f1, f2 = variant.sign_factors
+                check = check_hardy(config, variant)
+                assert _hex((check.p_a, check.p_b, check.p_c, check.p_d)) == _hex((
+                    first.probability(-f1, -f2),
+                    second.probability(f1, f2),
+                    third.probability(f1, f2),
+                    fourth.probability(f1, f2),
+                ))
+            checked += 1
+        assert checked > 1900
+
+    def test_computed_once_per_config(self, monkeypatch):
+        calls = []
+        kernel = correlations_module._probability_kernel
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(correlations_module, "_probability_kernel", counting)
+        first, second = _seeded_configs(2, 7)
+        for config in (first, second, first, second):
+            check_hardy(config)
+            hardy_inequality_lhs_rhs(config)
+            delta_from_probabilities(config)
+            pair_distributions(config)
+            for variant in HardyVariant:
+                check_hardy(config, variant)
+        assert len(calls) == 8
+
+    def test_cache_is_invisible(self):
+        config, twin = (next(_seeded_configs(1, 11)) for _ in range(2))
+        assert config is not twin
+
+        def observed():
+            return config == twin, hash(config), repr(config), pickle.dumps(config)
+
+        before = observed()
+        tables = _pair_tables(config)
+        assert observed() == before
+        assert all(type(table) is tuple for table in tables)
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and _pair_tables(copy) == tables
+        moved = dataclasses.replace(config, d11=MeasurementSetting(config.d11.beta + 0.3))
+        assert _pair_tables(moved) == tuple(
+            dataclasses.astuple(joint_distribution(moved.state, *moved.pair(k, l)))
+            for k, l in PAIR_ORDER
+        )
+        assert _pair_tables(moved)[0] != tables[0]
+
+    def test_cached_tables_are_checked(self, monkeypatch):
+        monkeypatch.setattr(
+            correlations_module, "_probability_kernel", lambda *args: (0.5, 0.5, 0.5, 0.0)
+        )
+        config = next(_seeded_configs(1, 3))
+        with pytest.raises(ValueError, match="probabilities sum to 1"):
+            check_hardy(config)

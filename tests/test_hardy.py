@@ -1,6 +1,7 @@
 """Hardy zero conditions: solving, checking, variants, and the
 maximal-entanglement obstruction."""
 
+import dataclasses
 import math
 
 import pytest
@@ -171,6 +172,24 @@ class TestVariants:
     def test_flipped_config_fails_canonical_check(self):
         solution = _solution(variant=HardyVariant.PARTICLE1_FLIPPED)
         assert not check_hardy(solution.config(), HardyVariant.CANONICAL).satisfied
+
+    @pytest.mark.parametrize("variant", list(HardyVariant))
+    def test_accepts_the_variant_value(self, variant):
+        by_value = solve_hardy(make_state(0.3), 0.7, variant.value)
+        assert by_value.variant is variant
+        assert dataclasses.replace(by_value, variant=variant.value).variant is variant
+        config = by_value.config()
+        assert config == solve_hardy(make_state(0.3), 0.7, variant).config()
+        assert check_hardy(config, variant.value) == check_hardy(config, variant)
+
+    @pytest.mark.parametrize("variant", ["bogus", "CANONICAL", None, 1, [1]])
+    def test_rejects_unknown_variant(self, variant):
+        with pytest.raises(DomainError, match="unknown Hardy variant"):
+            solve_hardy(make_state(0.3), 0.7, variant)
+        with pytest.raises(DomainError, match="unknown Hardy variant"):
+            check_hardy(_solution().config(), variant)
+        with pytest.raises(DomainError, match="unknown Hardy variant"):
+            dataclasses.replace(_solution(), variant=variant)
 
     def test_variant_probability_equals_canonical(self):
         canonical = _solution().hardy_probability()

@@ -197,6 +197,16 @@ class TestExperimentConfig:
             (2, 2): config.d22,
         }
 
+    def test_rejects_wrong_types(self):
+        with pytest.raises(DomainError, match="state must be a SchmidtState, got 1"):
+            ExperimentConfig(1, 2, 3, 4, 5)
+        setting = MeasurementSetting(0.1)
+        for position, name in enumerate(("d11", "d12", "d21", "d22")):
+            args = [setting] * 4
+            args[position] = 0.1
+            with pytest.raises(DomainError, match=f"{name} must be a MeasurementSetting"):
+                ExperimentConfig(make_state(0.3), *args)
+
 
 class TestConfigParsing:
     def test_golden_text(self):
