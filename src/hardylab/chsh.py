@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .correlations import CorrelationSet, _pair_tables, batch_probabilities, correlation_set
 from .hardy import _hardy_domain, _require_hardy_domain
 from .qstate import (
+    BOUNDARY_TOL,
     DomainError,
     ExperimentConfig,
     _clamp_c1_squared,
@@ -50,7 +51,6 @@ __all__ = [
     "DELTA_MAX",
     "OPTIMAL_C1_SQUARED",
     "OPTIMAL_BETA0_DEG",
-    "VIOLATION_TOL",
     "MAX_SCAN_CELLS",
     "ChshResult",
     "ScanGrid",
@@ -77,8 +77,6 @@ _OPTIMAL_RATIO = (GOLDEN_MEAN**2 - math.sqrt(GOLDEN_MEAN**4 - 4.0)) / 2.0
 OPTIMAL_C1_SQUARED = _OPTIMAL_RATIO**2 / (1.0 + _OPTIMAL_RATIO**2)
 OPTIMAL_BETA0_DEG = math.degrees(math.atan(_OPTIMAL_RATIO**1.5))
 
-VIOLATION_TOL = 1e-9
-
 # Largest grid scan_surface accepts. A CLI scan peaks at about 110 bytes
 # per cell, so the cap keeps one near 1.1 GB.
 MAX_SCAN_CELLS = 10**7
@@ -100,7 +98,7 @@ def delta_from_correlations(correlations: CorrelationSet) -> float:
     )
 
 
-def evaluate(config: ExperimentConfig, tol: float = VIOLATION_TOL) -> ChshResult:
+def evaluate(config: ExperimentConfig, tol: float = BOUNDARY_TOL) -> ChshResult:
     """Evaluate the CHSH parameter of a full experiment."""
     tol = _require_tolerance("tol", tol)
     correlations = correlation_set(config)

@@ -24,16 +24,10 @@ from typing import TYPE_CHECKING, TextIO
 from . import __version__
 from .chsh import DELTA_MAX, ScanGrid, evaluate, optimize_delta, scan_surface
 from .correlations import batch_probabilities, pair_distributions
-from .hardy import (
-    ZERO_TOL,
-    HardyCheck,
-    HardyVariant,
-    check_hardy,
-    hardy_inequality_lhs_rhs,
-    solve_hardy,
-)
+from .hardy import HardyCheck, HardyVariant, check_hardy, hardy_inequality_lhs_rhs, solve_hardy
 from .lhv import simulate, strategy_from_text
-from .qstate import OUTCOME_ORDER, PAIR_ORDER, DomainError, config_from_file, make_state
+from .qstate import BOUNDARY_TOL, OUTCOME_ORDER, PAIR_ORDER, ROUNDING_TOL, ZERO_TOL, DomainError
+from .qstate import config_from_file, make_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -374,7 +368,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     # The five-term closed form and the solved probability tables are
     # independent routes to Delta = 2 + 4 P; they must meet at the maximum.
-    ok = abs(delta - DELTA_MAX) <= 1e-9 and abs(delta - (2.0 + 4.0 * p_hardy)) <= 1e-10
+    ok = abs(delta - DELTA_MAX) <= BOUNDARY_TOL and abs(delta - (2.0 + 4.0 * p_hardy)) <= ZERO_TOL
     print(f"within_tolerance = {_flag(ok)}")
     if not ok:
         raise DomainError("optimizer result strays from the documented maximum")
@@ -424,14 +418,14 @@ def _verify_normalization(rng: np.random.Generator) -> tuple[bool, str]:
     delta12 = rng.uniform(-np.pi, np.pi, n)
     total = sum(batch_probabilities(c1, c2, beta1, beta2, delta12))
     deviation = float(np.max(np.abs(total - 1.0)))
-    return deviation <= 1e-12, f"max |sum - 1| = {deviation:.3g} over {n} draws"
+    return deviation <= ROUNDING_TOL, f"max |sum - 1| = {deviation:.3g} over {n} draws"
 
 
 def _verify_delta_identity() -> tuple[bool, str]:
     grid = scan_surface(51, 51)
     live = ~grid.degenerate
     deviation = float(abs(grid.delta[live] - 2.0 - 4.0 * grid.p_hardy[live]).max())
-    return deviation <= 1e-10, f"max |delta - 2 - 4 p| = {deviation:.3g} on a 51x51 grid"
+    return deviation <= ZERO_TOL, f"max |delta - 2 - 4 p| = {deviation:.3g} on a 51x51 grid"
 
 
 def _verify_vanishing_round_trip(rng: np.random.Generator) -> tuple[bool, str]:
@@ -448,7 +442,7 @@ def _verify_vanishing_round_trip(rng: np.random.Generator) -> tuple[bool, str]:
     off_root = batch_probabilities(c1, c2, beta1, beta2 + 0.01, 0.0)[0]
     forward = float(np.max(at_root))
     reverse = float(np.min(off_root))
-    ok = forward <= 1e-12 and reverse > 1e-12
+    ok = forward <= ZERO_TOL and reverse > ZERO_TOL
     return ok, f"root max = {forward:.3g}, perturbed min = {reverse:.3g} over {n} draws"
 
 

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .qstate import (
+    BOUNDARY_TOL,
     PAIR_ORDER,
+    ROUNDING_TOL,
     DomainError,
     ExperimentConfig,
     MeasurementSetting,
@@ -38,7 +40,6 @@ from .qstate import (
 )
 
 __all__ = [
-    "ROUNDING_TOL",
     "JointDistribution",
     "CorrelationSet",
     "PerfectCorrelation",
@@ -50,8 +51,6 @@ __all__ = [
     "correlation_set",
     "is_perfectly_correlated",
 ]
-
-ROUNDING_TOL = 1e-12
 
 
 def _probability_kernel(c1, c2, cb1, sb1, cb2, sb2, cos_d):
@@ -117,7 +116,7 @@ def _checked_table(table) -> tuple[float, float, float, float]:
     if not (0.0 <= p_pp <= 1.0 and 0.0 <= p_mm <= 1.0 and 0.0 <= p_pm <= 1.0
             and 0.0 <= p_mp <= 1.0):
         for name, value in zip(_TABLE_NAMES, table):
-            if value < -ROUNDING_TOL or value > 1.0 + ROUNDING_TOL:
+            if not -ROUNDING_TOL <= value <= 1.0 + ROUNDING_TOL:
                 raise ValueError(f"internal error: {name} = {value!r} is not a probability")
         p_pp, p_mm, p_pm, p_mp = table = tuple(min(max(value, 0.0), 1.0) for value in table)
     residue = abs(p_pp + p_mm + p_pm + p_mp - 1.0)
@@ -177,7 +176,7 @@ class CorrelationSet:
     def __post_init__(self) -> None:
         for name in ("e11", "e12", "e21", "e22"):
             value = float(getattr(self, name))
-            if abs(value) > 1.0 + ROUNDING_TOL:
+            if not abs(value) <= 1.0 + ROUNDING_TOL:
                 raise ValueError(
                     f"internal error: |{name}| = {abs(value)!r} exceeds 1"
                 )
@@ -259,7 +258,7 @@ def is_perfectly_correlated(
     state: SchmidtState,
     s1: MeasurementSetting,
     s2: MeasurementSetting,
-    tol: float = 1e-9,
+    tol: float = BOUNDARY_TOL,
 ) -> PerfectCorrelation | None:
     """Classify the pair as perfectly (anti)correlated, or neither."""
     tol = _require_tolerance("tol", tol)

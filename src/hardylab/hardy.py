@@ -39,6 +39,8 @@ from functools import cached_property
 
 from .correlations import _TABLE_INDEX, _pair_tables
 from .qstate import (
+    BOUNDARY_TOL,
+    ZERO_TOL,
     DomainError,
     EntanglementClass,
     ExperimentConfig,
@@ -52,8 +54,6 @@ from .qstate import (
 )
 
 __all__ = [
-    "ZERO_TOL",
-    "DEGENERATE_BETA0_TOL",
     "DegenerateBeta0",
     "NotPartiallyEntangled",
     "HardyVariant",
@@ -65,17 +65,6 @@ __all__ = [
     "maximal_entanglement_forcing",
     "hardy_inequality_lhs_rhs",
 ]
-
-# Default tolerance for "this probability is zero": the closed forms are
-# exact, so only accumulated rounding separates true zeros from small
-# positive values.
-ZERO_TOL = 1e-10
-
-# beta0 within this of a multiple of pi/2 (measured via |sin 2*beta0|)
-# makes the angle chain blow up.
-DEGENERATE_BETA0_TOL = 1e-9
-
-_FORCING_TOL = 1e-9
 
 
 class DegenerateBeta0(DomainError):
@@ -183,7 +172,7 @@ def _hardy_domain(c1, c2, sin_2beta0):
     arithmetic: floats and broadcast numpy arrays both work.
     """
     product, maximal = _entanglement_flags(c1, c2)
-    degenerate = (abs(sin_2beta0) < DEGENERATE_BETA0_TOL) | (sin_2beta0 != sin_2beta0)
+    degenerate = (abs(sin_2beta0) < BOUNDARY_TOL) | (sin_2beta0 != sin_2beta0)
     return product, maximal, degenerate
 
 
@@ -278,7 +267,7 @@ def maximal_entanglement_forcing(
     beta12: float,
     beta21: float,
     beta22: float,
-    tol: float = _FORCING_TOL,
+    tol: float = BOUNDARY_TOL,
 ) -> float:
     """The fourth tangent product forced at maximal entanglement.
 

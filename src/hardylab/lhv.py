@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from .qstate import OUTCOME_ORDER, PAIR_ORDER, DomainError, _key_value_lines
-from .qstate import _require_count, _require_finite, _require_tolerance
+from .qstate import BOUNDARY_TOL, OUTCOME_ORDER, PAIR_ORDER, ROUNDING_TOL, DomainError
+from .qstate import _key_value_lines, _require_count, _require_finite, _require_tolerance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,7 +49,19 @@ __all__ = [
     "strategy_from_text",
 ]
 
-_WEIGHT_SUM_TOL = 1e-12
+# Position of observable (particle, setting) in an assignment's
+# (a1, a2, b1, b2) and in a stochastic response row (p11, p12, p21, p22).
+_OBSERVABLE_INDEX = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
+
+
+def _observable_index(particle: int, setting: int) -> int:
+    try:
+        return _OBSERVABLE_INDEX[(particle, setting)]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"no observable ({particle}, {setting}); indices must be 1 or 2"
+        ) from None
+
 
 # Largest trials_per_pair simulate accepts. With four workers a run
 # peaks at about 115 bytes per trial, so the cap keeps one near 1.1 GB.
@@ -70,17 +83,7 @@ class DeterministicAssignment:
                 raise DomainError(f"{name} must be +1 or -1")
 
     def outcome(self, particle: int, setting: int) -> int:
-        try:
-            return {
-                (1, 1): self.a1,
-                (1, 2): self.a2,
-                (2, 1): self.b1,
-                (2, 2): self.b2,
-            }[(particle, setting)]
-        except KeyError:
-            raise DomainError(
-                f"no observable ({particle}, {setting}); indices must be 1 or 2"
-            ) from None
+        return (self.a1, self.a2, self.b1, self.b2)[_observable_index(particle, setting)]
 
     def chsh_combination(self) -> int:
         """Signed combination a1 b1 + a1 b2 + a2 b1 - a2 b2; always +-2."""
@@ -120,16 +123,24 @@ class MixtureStrategy:
     components: tuple
 
     def __post_init__(self) -> None:
-        components = tuple((w, a) for w, a in self.components)
+        try:
+            components = tuple((w, a) for w, a in self.components)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"components must be (weight, assignment) pairs, got {self.components!r}"
+            ) from None
         object.__setattr__(self, "components", components)
         for weight, assignment in components:
             if not isinstance(assignment, DeterministicAssignment):
                 raise DomainError(f"not an assignment: {assignment!r}")
             if not weight >= 0:
                 raise DomainError(f"negative weight or NaN: {weight!r}")
+        # Compared in the weights' own arithmetic, so an exact total far
+        # beyond the float range is refused rather than overflowing.
         total = sum(weight for weight, _ in components)
-        if abs(float(total) - 1.0) > _WEIGHT_SUM_TOL:
-            raise DomainError(f"weights sum to {float(total)!r}, expected 1")
+        if abs(total - 1) > ROUNDING_TOL:
+            shown = float(total) if total <= sys.float_info.max else math.inf
+            raise DomainError(f"weights sum to {shown!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -146,9 +157,14 @@ class StochasticStrategy:
     responses: tuple[tuple[float, float, float, float], ...]
 
     def __post_init__(self) -> None:
-        points = tuple(float(p) for p in self.breakpoints)
-        densities = tuple(float(d) for d in self.densities)
-        responses = tuple(tuple(float(p) for p in row) for row in self.responses)
+        try:
+            points = tuple(float(p) for p in self.breakpoints)
+            densities = tuple(float(d) for d in self.densities)
+            responses = tuple(tuple(float(p) for p in row) for row in self.responses)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(
+                "breakpoints, densities and response rows must be sequences of numbers"
+            ) from None
         object.__setattr__(self, "breakpoints", points)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "responses", responses)
@@ -156,7 +172,7 @@ class StochasticStrategy:
             raise DomainError("breakpoints and densities must be finite numbers")
         if len(points) < 2:
             raise DomainError("need at least one segment")
-        if abs(points[0]) > _WEIGHT_SUM_TOL or abs(points[-1] - 1.0) > _WEIGHT_SUM_TOL:
+        if abs(points[0]) > ROUNDING_TOL or abs(points[-1] - 1.0) > ROUNDING_TOL:
             raise DomainError("breakpoints must start at 0 and end at 1")
         if any(b >= c for b, c in zip(points, points[1:])):
             raise DomainError("breakpoints must be strictly increasing")
@@ -175,7 +191,7 @@ class StochasticStrategy:
         mass = sum(
             d * (c - b) for d, b, c in zip(densities, points, points[1:])
         )
-        if abs(mass - 1.0) > 1e-9:
+        if abs(mass - 1.0) > BOUNDARY_TOL:
             raise DomainError(f"density integrates to {mass!r}, expected 1")
 
     @property
@@ -186,8 +202,11 @@ class StochasticStrategy:
         )
 
     def response(self, segment: int, particle: int, setting: int) -> float:
-        row = self.responses[segment]
-        return row[(particle - 1) * 2 + (setting - 1)]
+        index = _observable_index(particle, setting)
+        segments = len(self.responses)
+        if not (isinstance(segment, numbers.Integral) and 0 <= segment < segments):
+            raise DomainError(f"segment must be an integer in [0, {segments}), got {segment!r}")
+        return self.responses[segment][index]
 
 
 LhvStrategy = Union[MixtureStrategy, StochasticStrategy]
@@ -250,15 +269,21 @@ class TrialTally:
     counts: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 4:
+        trials = _require_count(
+            self.trials_per_pair, 1, "trials_per_pair must be a positive integer"
+        )
+        try:
+            counts = tuple(tuple(row) for row in self.counts)
+        except TypeError:
+            raise DomainError(f"counts must be rows of 4 counts, got {self.counts!r}") from None
+        if len(counts) != 4:
             raise DomainError("need counts for all 4 setting pairs")
-        for row in self.counts:
-            if len(row) != 4 or any(c < 0 for c in row):
+        for row in counts:
+            if len(row) != 4 or not all(isinstance(c, numbers.Integral) and c >= 0 for c in row):
                 raise DomainError(f"bad count row: {row!r}")
-            if sum(row) != self.trials_per_pair:
-                raise DomainError(
-                    f"counts {row!r} do not sum to {self.trials_per_pair}"
-                )
+            if sum(row) != trials:
+                raise DomainError(f"counts {row!r} do not sum to {trials}")
+        object.__setattr__(self, "counts", counts)
 
     def count(self, setting_pair: tuple[int, int], outcomes: tuple[int, int]) -> int:
         pair = _check_pair(setting_pair)
@@ -364,7 +389,7 @@ def simulate(
     return TrialTally(trials_per_pair=trials, counts=tuple(rows))
 
 
-def local_realism_forcing(e11: float, e12: float, e21: float, tol: float = 1e-9) -> int:
+def local_realism_forcing(e11: float, e12: float, e21: float, tol: float = BOUNDARY_TOL) -> int:
     """The fourth correlation forced by three equal perfect correlations.
 
     If measurements of (D11, D21), (D11, D22), and (D12, D21) are all

@@ -16,8 +16,9 @@ from enum import Enum
 from typing import Iterator
 
 __all__ = [
-    "NORMALIZATION_TOL",
-    "CLASSIFICATION_TOL",
+    "ROUNDING_TOL",
+    "ZERO_TOL",
+    "BOUNDARY_TOL",
     "PAIR_ORDER",
     "OUTCOME_ORDER",
     "DomainError",
@@ -31,8 +32,20 @@ __all__ = [
     "config_from_file",
 ]
 
-NORMALIZATION_TOL = 1e-12
-CLASSIFICATION_TOL = 1e-9
+# The tolerance table: every numerical threshold of the package, each
+# named for the decision it makes. Other modules import these.
+#
+# ROUNDING_TOL: float residue of an identity that holds exactly
+#   (normalization, the c1^2 clamp, probability range and sum, |E| <= 1,
+#   the mixture weight sum, breakpoint ends).
+# ZERO_TOL: a closed-form probability or identity residue that must
+#   vanish (Hardy's zero conditions, Delta = 2 + 4 P).
+# BOUNDARY_TOL: how close a value may come to a domain boundary or a
+#   bound and still count as on it (product or maximal state, degenerate
+#   beta0, Delta > 2, perfect correlation, density mass, DELTA_MAX).
+ROUNDING_TOL = 1e-12
+ZERO_TOL = 1e-10
+BOUNDARY_TOL = 1e-9
 
 # Setting pairs (particle-1 index k, particle-2 index l) in canonical
 # order: the joint measurements (D11,D21), (D11,D22), (D12,D21), (D12,D22).
@@ -94,10 +107,10 @@ class SchmidtState:
         object.__setattr__(self, "c1", _require_finite("c1", self.c1))
         object.__setattr__(self, "c2", _require_finite("c2", self.c2))
         residue = abs(self.c1 * self.c1 + self.c2 * self.c2 - 1.0)
-        if residue > NORMALIZATION_TOL:
+        if residue > ROUNDING_TOL:
             raise DomainError(
                 f"c1^2 + c2^2 deviates from 1 by {residue:.3e} "
-                f"(> {NORMALIZATION_TOL:g})"
+                f"(> {ROUNDING_TOL:g})"
             )
 
     @property
@@ -179,8 +192,8 @@ def _check_sign(name: str, sign: float) -> float:
 
 def _clamp_c1_squared(c1_squared: float) -> float:
     """A finite c1^2 clamped into [0, 1]; DomainError if it strays further
-    than the normalization tolerance (rounding residue)."""
-    if c1_squared < -NORMALIZATION_TOL or c1_squared > 1.0 + NORMALIZATION_TOL:
+    than ROUNDING_TOL."""
+    if c1_squared < -ROUNDING_TOL or c1_squared > 1.0 + ROUNDING_TOL:
         raise DomainError(f"c1_squared must lie in [0, 1], got {c1_squared!r}")
     return min(max(c1_squared, 0.0), 1.0)
 
@@ -188,8 +201,8 @@ def _clamp_c1_squared(c1_squared: float) -> float:
 def make_state(c1_squared: float, sign_c1: int = +1, sign_c2: int = +1) -> SchmidtState:
     """Build a state from c1^2 and explicit coefficient signs.
 
-    c1_squared may stray outside [0, 1] by at most the normalization
-    tolerance (rounding residue); anything further is a domain error.
+    c1_squared may stray outside [0, 1] by at most ROUNDING_TOL;
+    anything further is a domain error.
     """
     c1_squared = _require_finite("c1_squared", c1_squared)
     s1 = _check_sign("sign_c1", sign_c1)
@@ -201,7 +214,7 @@ def make_state(c1_squared: float, sign_c1: int = +1, sign_c2: int = +1) -> Schmi
     )
 
 
-def _entanglement_flags(c1, c2, tol: float = CLASSIFICATION_TOL):
+def _entanglement_flags(c1, c2, tol: float = BOUNDARY_TOL):
     """(product, maximal) flags of the coefficient magnitudes c1, c2.
 
     Plain arithmetic, so floats and broadcast numpy arrays both work:
@@ -211,7 +224,7 @@ def _entanglement_flags(c1, c2, tol: float = CLASSIFICATION_TOL):
 
 
 def entanglement_class(
-    state: SchmidtState, tol: float = CLASSIFICATION_TOL
+    state: SchmidtState, tol: float = BOUNDARY_TOL
 ) -> EntanglementClass:
     """Classify as product, maximally entangled, or partially entangled."""
     tol = _require_tolerance("tol", tol)

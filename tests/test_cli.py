@@ -509,6 +509,13 @@ class TestLhvSim:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "must be finite" in err
 
+    def test_rejects_weight_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.lhv"
+        path.write_text("type = mixture\nweight_pppp = 1e400\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "lhv-sim", "--strategy", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: weights sum to inf, expected 1\n"
+
     def test_rejects_negative_seed(self, capsys, anticorrelated_path):
         code, out, err = run_cli(
             capsys, "lhv-sim", "--strategy", anticorrelated_path, "--seed", "-1"

@@ -16,7 +16,6 @@ from hardylab.correlations import (
     CorrelationSet,
     JointDistribution,
     PerfectCorrelation,
-    ROUNDING_TOL,
     batch_correlation,
     batch_probabilities,
     correlation,
@@ -30,6 +29,7 @@ from hardylab.hardy import HardyVariant, check_hardy, hardy_inequality_lhs_rhs, 
 from hardylab.qstate import (
     OUTCOME_ORDER,
     PAIR_ORDER,
+    ROUNDING_TOL,
     DomainError,
     ExperimentConfig,
     MeasurementSetting,
@@ -194,6 +194,13 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="internal error"):
             JointDistribution(0.5, 0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("index", range(4))
+    def test_rejects_nan(self, index):
+        entries = [0.5, 0.5, 0.0, 0.0]
+        entries[index] = math.nan
+        with pytest.raises(ValueError, match="is not a probability"):
+            JointDistribution(*entries)
+
     def test_keeps_signed_zero_and_exact_messages(self):
         dist = JointDistribution(-0.0, 1, 0.0, 0.0)
         assert math.copysign(1.0, dist.p_pp) == -1.0
@@ -222,6 +229,13 @@ class TestCorrelationSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="internal error"):
             CorrelationSet(1.001, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_rejects_nan(self, index):
+        entries = [0.0, 0.0, 0.0, 0.0]
+        entries[index] = math.nan
+        with pytest.raises(ValueError, match="exceeds 1"):
+            CorrelationSet(*entries)
 
 
 class TestPerfectCorrelation:

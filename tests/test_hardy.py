@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from hardylab.correlations import correlation, joint_distribution, pair_distributions
 from hardylab.hardy import (
-    DEGENERATE_BETA0_TOL,
-    ZERO_TOL,
     DegenerateBeta0,
     HardyVariant,
     NotPartiallyEntangled,
@@ -21,7 +19,7 @@ from hardylab.hardy import (
     solve_hardy,
     solve_vanishing_condition,
 )
-from hardylab.qstate import DomainError, MeasurementSetting, make_state
+from hardylab.qstate import ZERO_TOL, DomainError, MeasurementSetting, make_state
 
 # Frozen golden solution for c1^2 = 0.3, beta0 = 40 deg.
 GOLDEN_BETA11_DEG = 62.944256871428834

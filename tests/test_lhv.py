@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import lhv
@@ -34,6 +34,38 @@ ANTICORRELATED = MixtureStrategy(
 )
 
 grid_values = st.integers(min_value=-10, max_value=10).map(lambda k: Fraction(k, 8))
+
+# Strategy-file text: arbitrary text, or a valid file with up to three
+# keys set to awkward values (or added).
+strategy_texts = st.one_of(
+    st.text(),
+    st.builds(
+        lambda base, changes: "\n".join(f"{k} = {v}" for k, v in {**base, **changes}.items()),
+        st.sampled_from(
+            [
+                {"type": "mixture", "weight_pppp": "1"},
+                {"type": "mixture", "weight_ppmm": "1/2", "weight_mmpp": "0.5"},
+                {"type": "stochastic", "breakpoints": "0, 0.5, 1", "density": "1, 1",
+                 "response_1": "1, 0, 1, 0", "response_2": "0, 1, 0, 1"},
+            ]
+        ),
+        st.dictionaries(
+            st.sampled_from(
+                ["type", "weight_pppp", "weight_mmpp", "weight_px", "breakpoints", "density",
+                 "response_1", "response_2", "bogus"]
+            ),
+            st.one_of(
+                st.sampled_from(
+                    ["mixture", "stochastic", "1", "1/2", "0.5", "-1", "0", "1e400", "nan",
+                     "inf", "1/0", "0, 1", "0, 0.5, 1", "1, 1", "2, 0", "1e308, 1e308",
+                     "0.5, 0.5, 0.5, 0.5", "1, 0, 1", "0, nan, 1", ""]
+                ),
+                st.text(max_size=12),
+            ),
+            max_size=3,
+        ),
+    ),
+)
 
 
 def _correlation_from_joints(strategy, pair):
@@ -269,6 +301,37 @@ class TestStochasticStrategy:
     def test_validation(self, kwargs, message):
         with pytest.raises(DomainError, match=message):
             StochasticStrategy(**kwargs)
+
+    @pytest.mark.parametrize(
+        "segment,particle,setting",
+        [(0, 0, 1), (0, 1, 3), (0, 3, 1), (0, "1", 1), (-1, 1, 1), (2, 1, 1), (0.0, 1, 1)],
+    )
+    def test_response_rejects_bad_indices(self, segment, particle, setting):
+        with pytest.raises(DomainError):
+            self._two_segment().response(segment, particle, setting)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MixtureStrategy(components=(1, 2)),
+        lambda: MixtureStrategy(components=5),
+        lambda: MixtureStrategy(components=((1.0, PPMM, 0),)),
+        lambda: StochasticStrategy(5, (1,), ((0.5,) * 4,)),
+        lambda: StochasticStrategy((0.0, 1.0), (1,), (5,)),
+        lambda: StochasticStrategy((0.0, 10**400), (1,), ((0.5,) * 4,)),
+        lambda: StochasticStrategy((0.0, 1.0), ("x",), ((0.5,) * 4,)),
+        lambda: TrialTally(10, 5),
+        lambda: TrialTally(10, (5, 5, 5, 5)),
+        lambda: TrialTally("10", ((10, 0, 0, 0),) * 4),
+        lambda: TrialTally(0, ((0, 0, 0, 0),) * 4),
+        lambda: TrialTally(10, ((10.0, 0, 0, 0),) * 4),
+        lambda: TrialTally(10, (("10", 0, 0, 0),) * 4),
+    ],
+)
+def test_constructors_refuse_malformed_arguments(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestJointProbabilityGuards:
@@ -549,5 +612,23 @@ class TestStrategyParsing:
             strategy_from_text(text)
 
     def test_bad_weight_total_propagates(self):
-        with pytest.raises(DomainError, match="weights sum to"):
+        with pytest.raises(DomainError, match="^weights sum to 0.3333333333333333, expected 1$"):
             strategy_from_text("type = mixture\nweight_pppp = 1/3")
+
+    def test_weight_total_beyond_float_range(self):
+        with pytest.raises(DomainError, match="^weights sum to inf, expected 1$"):
+            strategy_from_text("type = mixture\nweight_pppp = 1e400")
+        with pytest.raises(DomainError, match="^weights sum to inf, expected 1$"):
+            MixtureStrategy(components=((10**400, PPMM), (Fraction(1, 3), MMPP)))
+        with pytest.raises(DomainError, match="^weights sum to inf, expected 1$"):
+            MixtureStrategy(components=((math.inf, PPMM),))
+
+    @given(text=strategy_texts)
+    @example(text="type = mixture\nweight_pppp = 1e400\n")
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_raises_domain_error(self, text):
+        try:
+            strategy = strategy_from_text(text)
+        except DomainError:
+            return
+        assert isinstance(strategy, (MixtureStrategy, StochasticStrategy))

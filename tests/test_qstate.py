@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.qstate import (
-    CLASSIFICATION_TOL,
-    NORMALIZATION_TOL,
+    BOUNDARY_TOL,
     PAIR_ORDER,
+    ROUNDING_TOL,
     DomainError,
     EntanglementClass,
     ExperimentConfig,
@@ -50,7 +50,7 @@ class TestSchmidtState:
     def test_tolerates_rounding_residue(self):
         c1 = math.sqrt(0.3)
         c2 = math.sqrt(0.7)
-        SchmidtState(c1, c2)  # residue well under NORMALIZATION_TOL
+        SchmidtState(c1, c2)  # residue well under ROUNDING_TOL
 
 
 class TestMakeState:
@@ -65,8 +65,8 @@ class TestMakeState:
         assert state.c1_squared == pytest.approx(0.3, abs=1e-15)
 
     def test_clamps_rounding_stray(self):
-        assert make_state(1.0 + 0.5 * NORMALIZATION_TOL).c1 == 1.0
-        assert make_state(-0.5 * NORMALIZATION_TOL).c1 == 0.0
+        assert make_state(1.0 + 0.5 * ROUNDING_TOL).c1 == 1.0
+        assert make_state(-0.5 * ROUNDING_TOL).c1 == 0.0
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_rejects_out_of_range(self, bad):
@@ -82,7 +82,7 @@ class TestMakeState:
     @settings(max_examples=200)
     def test_always_normalized(self, c1_squared):
         state = make_state(c1_squared)
-        assert abs(state.c1 ** 2 + state.c2 ** 2 - 1.0) <= NORMALIZATION_TOL
+        assert abs(state.c1 ** 2 + state.c2 ** 2 - 1.0) <= ROUNDING_TOL
         assert abs(state.c1_squared - c1_squared) <= 1e-12
 
 
@@ -128,9 +128,9 @@ class TestEntanglementClass:
     def test_trichotomy_matches_definition(self, c1_squared):
         state = make_state(c1_squared)
         got = entanglement_class(state)
-        if abs(state.c1 * state.c2) <= CLASSIFICATION_TOL:
+        if abs(state.c1 * state.c2) <= BOUNDARY_TOL:
             assert got is EntanglementClass.PRODUCT
-        elif abs(abs(state.c1) - abs(state.c2)) <= CLASSIFICATION_TOL:
+        elif abs(abs(state.c1) - abs(state.c2)) <= BOUNDARY_TOL:
             assert got is EntanglementClass.MAXIMAL
         else:
             assert got is EntanglementClass.PARTIAL
@@ -251,6 +251,39 @@ class TestConfigParsing:
         path.write_text(GOLDEN_TEXT, encoding="utf-8")
         config = config_from_file(str(path))
         assert config.d22.beta == math.radians(100)
+
+    @given(
+        text=st.one_of(
+            st.text(),
+            # GOLDEN_TEXT with up to three keys set to awkward values (or added).
+            st.dictionaries(
+                st.sampled_from(
+                    ["c1_squared", "sign_c1", "sign_c2", "beta_11_deg", "beta_22_deg",
+                     "delta_12_deg", "beta_13_deg"]
+                ),
+                st.one_of(
+                    st.sampled_from(
+                        ["0.3", "1", "-1", "0", "1.0000000000001", "1e400", "-1e400",
+                         "1e308", "nan", "inf", "0.5", ""]
+                    ),
+                    st.text(max_size=12),
+                ),
+                max_size=3,
+            ).map(
+                lambda changes: "\n".join(
+                    line for line in GOLDEN_TEXT.splitlines()
+                    if line.partition(" =")[0] not in changes
+                ) + "".join(f"\n{k} = {v}" for k, v in changes.items())
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_raises_domain_error(self, text):
+        try:
+            config = config_from_text(text)
+        except DomainError:
+            return
+        assert isinstance(config, ExperimentConfig)
 
     @given(
         c1_squared=st.floats(min_value=0.0, max_value=1.0),

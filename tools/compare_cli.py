@@ -55,6 +55,8 @@ CONFIGS: dict[str, str | bytes] = {
     "unknown_type.lhv": "type = other\n",
     "missing_type.lhv": "weight_ppmm = 1\n",
     "unknown_key.lhv": "type = mixture\nweight_ppmm = 1\nbogus = 2\n",
+    # An exact weight beyond the float range.
+    "huge_weight.lhv": "type = mixture\nweight_pppp = 1e400\n",
     "not_utf8.lhv": b"type = mixture\xff\n",
 }
 
