@@ -293,3 +293,9 @@ def maximal_free_angle_delta(
         raise DomainError(f"expected 4 angle differences, got {len(values)}")
     d1, d2, d3, d4 = (scale * v for v in values)
     return abs(math.cos(d1) + math.cos(d2) + math.cos(d3) - math.cos(d4))
+
+
+# Bind this module's public names in the package namespace.
+from . import _publish
+
+_publish(globals())

@@ -22,15 +22,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from . import __version__
-from .chsh import DELTA_MAX, ScanGrid, evaluate, optimize_delta, scan_surface
-from .correlations import batch_probabilities, pair_distributions
-from .hardy import HardyCheck, HardyVariant, check_hardy, hardy_inequality_lhs_rhs, solve_hardy
-from .lhv import simulate, strategy_from_text
 from .qstate import BOUNDARY_TOL, OUTCOME_ORDER, PAIR_ORDER, ROUNDING_TOL, ZERO_TOL, DomainError
-from .qstate import config_from_file, make_state
+from .qstate import HardyVariant, config_from_file, make_state
 
+# The rest of the library is imported inside each subcommand, from the
+# package namespace: a child loads only the modules its subcommand
+# reaches, and a name replaced in the package is the one that runs.
 if TYPE_CHECKING:
     import numpy as np
+
+    from . import HardyCheck, ScanGrid
 
 __all__ = [
     "RunManifest",
@@ -114,6 +115,8 @@ def _print_manifest(manifest: RunManifest) -> None:
 
 
 def _cmd_probs(args: argparse.Namespace) -> int:
+    from . import pair_distributions
+
     config = config_from_file(args.config)
     manifest = RunManifest(
         "probs",
@@ -129,6 +132,8 @@ def _cmd_probs(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlation(args: argparse.Namespace) -> int:
+    from . import evaluate
+
     config = config_from_file(args.config)
     manifest = RunManifest(
         "correlation",
@@ -155,6 +160,8 @@ def _print_check(check: HardyCheck) -> None:
 
 
 def _cmd_hardy_solve(args: argparse.Namespace) -> int:
+    from . import check_hardy, solve_hardy
+
     variant = HardyVariant(args.variant)
     state = make_state(args.c1_squared)
     solution = solve_hardy(state, math.radians(args.beta0_deg), variant)
@@ -201,6 +208,8 @@ def _cmd_hardy_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_hardy_check(args: argparse.Namespace) -> int:
+    from . import check_hardy
+
     config = config_from_file(args.config)
     variant = HardyVariant(args.variant)
     check = check_hardy(config, variant, zero_tol=args.tol)
@@ -317,6 +326,8 @@ def _write_svg(grid: ScanGrid, manifest: RunManifest, stream: TextIO) -> None:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from . import scan_surface
+
     outputs = tuple(p for p in (args.out, args.svg) if p)
     manifest = RunManifest(
         "scan",
@@ -357,6 +368,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from . import DELTA_MAX, optimize_delta, solve_hardy
+
     _print_manifest(RunManifest("optimize"))
     c1_squared, beta0, delta = optimize_delta()
     beta0_deg = math.degrees(beta0)
@@ -379,6 +392,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_lhv_sim(args: argparse.Namespace) -> int:
+    from . import simulate, strategy_from_text
+
     try:
         text = Path(args.strategy).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -409,6 +424,8 @@ def _cmd_lhv_sim(args: argparse.Namespace) -> int:
 def _verify_normalization(rng: np.random.Generator) -> tuple[bool, str]:
     import numpy as np
 
+    from . import batch_probabilities
+
     n = 20000
     x = rng.uniform(0.0, 1.0, n)
     c1 = rng.choice((-1.0, 1.0), n) * np.sqrt(x)
@@ -422,6 +439,8 @@ def _verify_normalization(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _verify_delta_identity() -> tuple[bool, str]:
+    from . import scan_surface
+
     grid = scan_surface(51, 51)
     live = ~grid.degenerate
     deviation = float(abs(grid.delta[live] - 2.0 - 4.0 * grid.p_hardy[live]).max())
@@ -430,6 +449,8 @@ def _verify_delta_identity() -> tuple[bool, str]:
 
 def _verify_vanishing_round_trip(rng: np.random.Generator) -> tuple[bool, str]:
     import numpy as np
+
+    from . import batch_probabilities
 
     n = 1000
     x = rng.uniform(0.02, 0.98, n)
@@ -502,6 +523,8 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
         raise DomainError("--errors requires --values")
 
     if args.config:
+        from . import hardy_inequality_lhs_rhs
+
         config = config_from_file(args.config)
         manifest = RunManifest("inequality", parameters=(("config", args.config),))
         _print_manifest(manifest)

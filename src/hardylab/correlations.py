@@ -268,3 +268,9 @@ def is_perfectly_correlated(
     if value <= -1.0 + tol:
         return PerfectCorrelation.ANTICORRELATED
     return None
+
+
+# Bind this module's public names in the package namespace.
+from . import _publish
+
+_publish(globals())

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property
 
 from .correlations import _TABLE_INDEX, _pair_tables
 from .qstate import (
@@ -44,6 +42,7 @@ from .qstate import (
     DomainError,
     EntanglementClass,
     ExperimentConfig,
+    HardyVariant,
     MeasurementSetting,
     SchmidtState,
     _entanglement_flags,
@@ -73,30 +72,6 @@ class DegenerateBeta0(DomainError):
 
 class NotPartiallyEntangled(DomainError):
     """Hardy systems exist only for partially entangled states."""
-
-
-class HardyVariant(Enum):
-    """Outcome-sign convention for the four conditions.
-
-    Variants are plain relabelings of measurement outcomes: a sign
-    factor f = -1 on a particle swaps the roles of its +1 and -1
-    results in every condition.
-    """
-
-    CANONICAL = "canonical"
-    ALL_FLIPPED = "all-flipped"
-    PARTICLE1_FLIPPED = "particle1-flipped"
-    PARTICLE2_FLIPPED = "particle2-flipped"
-
-    @cached_property
-    def sign_factors(self) -> tuple[int, int]:
-        """Per-particle outcome sign factors (f1, f2)."""
-        return {
-            HardyVariant.CANONICAL: (1, 1),
-            HardyVariant.ALL_FLIPPED: (-1, -1),
-            HardyVariant.PARTICLE1_FLIPPED: (-1, 1),
-            HardyVariant.PARTICLE2_FLIPPED: (1, -1),
-        }[self]
 
 
 def _require_variant(variant) -> HardyVariant:
@@ -320,3 +295,9 @@ def hardy_inequality_lhs_rhs(config: ExperimentConfig) -> tuple[float, float]:
     """
     check = check_hardy(config)
     return check.p_d, check.p_a + check.p_b + check.p_c
+
+
+# Bind this module's public names in the package namespace.
+from . import _publish
+
+_publish(globals())

@@ -63,6 +63,11 @@ def _observable_index(particle: int, setting: int) -> int:
         ) from None
 
 
+# Largest |decimal exponent| a strategy file's weight may carry.
+# Fraction builds 10**exponent exactly (1e999999999 would take a ~400 MB
+# integer), and any weight past this bound is far outside the float range.
+_MAX_WEIGHT_EXPONENT = 1000
+
 # Largest trials_per_pair simulate accepts. With four workers a run
 # peaks at about 115 bytes per trial, so the cap keeps one near 1.1 GB.
 MAX_TRIALS = 10**7
@@ -133,11 +138,18 @@ class MixtureStrategy:
         for weight, assignment in components:
             if not isinstance(assignment, DeterministicAssignment):
                 raise DomainError(f"not an assignment: {assignment!r}")
+            if not isinstance(weight, numbers.Real):
+                raise DomainError(f"weight is not a real number: {weight!r}")
             if not weight >= 0:
                 raise DomainError(f"negative weight or NaN: {weight!r}")
         # Compared in the weights' own arithmetic, so an exact total far
-        # beyond the float range is refused rather than overflowing.
-        total = sum(weight for weight, _ in components)
+        # beyond the float range is refused rather than overflowing. Such
+        # an exact weight summed with a float one overflows: its float
+        # total is inf.
+        try:
+            total = sum(weight for weight, _ in components)
+        except OverflowError:
+            total = math.inf
         if abs(total - 1) > ROUNDING_TOL:
             shown = float(total) if total <= sys.float_info.max else math.inf
             raise DomainError(f"weights sum to {shown!r}, expected 1")
@@ -449,6 +461,20 @@ def _parse_label(label: str) -> DeterministicAssignment:
     return DeterministicAssignment(*values)
 
 
+def _parse_weight(key: str, value: str) -> Fraction:
+    """A weight entry as an exact Fraction, its exponent bounded first."""
+    try:
+        exponent = int(value.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # not a decimal exponent: Fraction refuses the value
+    if abs(exponent) > _MAX_WEIGHT_EXPONENT:
+        raise DomainError(f"{key}: exponent beyond {_MAX_WEIGHT_EXPONENT} in magnitude: {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{key}: not a number: {value!r}") from None
+
+
 def _parse_number_list(key: str, text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
@@ -461,7 +487,8 @@ def strategy_from_text(text: str) -> LhvStrategy:
 
     Mixture form: 'type = mixture' plus weight_LLLL entries, LLLL a
     p/m code over (a1, a2, b1, b2); weights accept fractions ('1/3')
-    and decimals, kept exact. Stochastic form: 'type = stochastic' with
+    and decimals, kept exact (a decimal exponent beyond 1000 in
+    magnitude is refused). Stochastic form: 'type = stochastic' with
     'breakpoints', 'density', and one 'response_N = p11, p12, p21, p22'
     row per segment (N counts from 1).
     """
@@ -476,11 +503,7 @@ def strategy_from_text(text: str) -> LhvStrategy:
             if not key.startswith("weight_"):
                 raise DomainError(f"unknown key {key!r} for a mixture strategy")
             assignment = _parse_label(key[len("weight_"):])
-            try:
-                weight = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"{key}: not a number: {value!r}") from None
-            components.append((weight, assignment))
+            components.append((_parse_weight(key, value), assignment))
         if not components:
             raise DomainError("mixture needs at least one weight_* entry")
         return MixtureStrategy(components=tuple(components))
@@ -508,3 +531,9 @@ def strategy_from_text(text: str) -> LhvStrategy:
         )
 
     raise DomainError(f"unknown strategy type {kind!r}")
+
+
+# Bind this module's public names in the package namespace.
+from . import _publish
+
+_publish(globals())

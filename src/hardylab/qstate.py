@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "OUTCOME_ORDER",
     "DomainError",
     "EntanglementClass",
+    "HardyVariant",
     "SchmidtState",
     "MeasurementSetting",
     "ExperimentConfig",
@@ -63,6 +65,32 @@ class EntanglementClass(Enum):
     PRODUCT = "product"
     MAXIMAL = "maximal"
     PARTIAL = "partial"
+
+
+class HardyVariant(Enum):
+    """Outcome-sign convention for the four conditions.
+
+    Variants are plain relabelings of measurement outcomes: a sign
+    factor f = -1 on a particle swaps the roles of its +1 and -1
+    results in every condition. Defined here, with the other plain
+    value types, so that the CLI can offer the variant names without
+    loading the Hardy solver; hardy re-exports it.
+    """
+
+    CANONICAL = "canonical"
+    ALL_FLIPPED = "all-flipped"
+    PARTICLE1_FLIPPED = "particle1-flipped"
+    PARTICLE2_FLIPPED = "particle2-flipped"
+
+    @cached_property
+    def sign_factors(self) -> tuple[int, int]:
+        """Per-particle outcome sign factors (f1, f2)."""
+        return {
+            HardyVariant.CANONICAL: (1, 1),
+            HardyVariant.ALL_FLIPPED: (-1, -1),
+            HardyVariant.PARTICLE1_FLIPPED: (-1, 1),
+            HardyVariant.PARTICLE2_FLIPPED: (1, -1),
+        }[self]
 
 
 def _require_real(name: str, value: float) -> float:
@@ -312,3 +340,9 @@ def config_from_file(path: str) -> ExperimentConfig:
         except UnicodeDecodeError as exc:
             raise DomainError(f"cannot read config file: {exc}") from None
     return config_from_text(text)
+
+
+# Bind this module's public names in the package namespace.
+from . import _publish
+
+_publish(globals())

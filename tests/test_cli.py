@@ -415,9 +415,10 @@ class TestOptimize:
 
     def test_within_tolerance_checks_the_probability_route(self, capsys, monkeypatch):
         # A Hardy probability taken off the maximizer must break
-        # delta = 2 + 4 p_hardy, and with it within_tolerance.
+        # delta = 2 + 4 p_hardy, and with it within_tolerance. The CLI
+        # resolves library names through the package namespace.
         monkeypatch.setattr(
-            cli, "solve_hardy", lambda state, beta0: solve_hardy(state, beta0 + 0.01)
+            hardylab, "solve_hardy", lambda state, beta0: solve_hardy(state, beta0 + 0.01)
         )
         code, out, err = run_cli(capsys, "optimize")
         assert code == 1
@@ -515,6 +516,13 @@ class TestLhvSim:
         code, out, err = run_cli(capsys, "lhv-sim", "--strategy", str(path))
         assert code == 1 and out == ""
         assert err == "error: weights sum to inf, expected 1\n"
+
+    def test_rejects_weight_exponent_far_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "vast.lhv"
+        path.write_text("type = mixture\nweight_pppp = 1e999999999\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "lhv-sim", "--strategy", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: weight_pppp: exponent beyond 1000 in magnitude: '1e999999999'\n"
 
     def test_rejects_negative_seed(self, capsys, anticorrelated_path):
         code, out, err = run_cli(
@@ -699,9 +707,38 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(report))
 """
 
+_LOADS_SCRIPT = """
+import contextlib, io, json, sys
+from hardylab import cli
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run(json.loads(sys.argv[1]))
+loaded = [m[len("hardylab."):] for m in sys.modules if m.startswith("hardylab.")]
+print(json.dumps([code, sorted(loaded), "fractions" in sys.modules]))
+"""
+
+_SOLVE = ["hardy-solve", "--c1-squared", "0.3", "--beta0-deg", "40"]
+_LOADS = [
+    (["--version"], 0, [], False),
+    (["frobnicate"], 2, [], False),
+    (_SOLVE + ["--variant", "bogus"], 2, [], False),
+    (["inequality"], 0, [], False),
+    (["inequality", "--values", "0.1", "0.01", "0.02", "0.03"], 0, [], False),
+    (["probs", "--config", "{config}"], 0, ["correlations"], False),
+    (["hardy-check", "--config", "{config}"], 0, ["correlations", "hardy"], False),
+    (_SOLVE, 0, ["correlations", "hardy"], False),
+    (["inequality", "--config", "{config}"], 0, ["correlations", "hardy"], False),
+    (["correlation", "--config", "{config}"], 0, ["chsh", "correlations", "hardy"], False),
+    (["optimize"], 0, ["chsh", "correlations", "hardy"], False),
+    (["scan", "--c1sq-steps", "5", "--beta0-steps", "4"], 0, ["chsh", "correlations", "hardy"], False),
+    (["verify"], 0, ["chsh", "correlations", "hardy"], False),
+    (["lhv-sim", "--strategy", "s.lhv", "--trials", "200"], 0, ["lhv"], True),
+]
+
 
 class TestLightStartup:
-    """Scalar subcommands run without numpy or a thread pool in the process."""
+    """Subcommands load only what they use: no numpy or thread pool for
+    scalar work, and only the package modules each one reaches."""
 
     def test_scalar_subcommands_load_no_numpy(self, tmp_path, solved_config_path):
         (tmp_path / "s.lhv").write_text(ANTICORRELATED_TEXT, encoding="utf-8")
@@ -737,6 +774,23 @@ class TestLightStartup:
         # Each light run is checked before any heavy run loads numpy.
         assert report[: len(light)] == [[code, False, False] for _, code in light]
         assert [code for code, _, _ in report[len(light):]] == [code for _, code in heavy]
+
+    @pytest.mark.parametrize(
+        "argv, code, modules, fractions", _LOADS, ids=[" ".join(argv) for argv, *_ in _LOADS]
+    )
+    def test_each_subcommand_loads_only_its_modules(
+        self, tmp_path, solved_config_path, argv, code, modules, fractions
+    ):
+        # Package modules besides cli and qstate, and fractions (which
+        # only lhv needs), loaded by one run in a fresh interpreter.
+        (tmp_path / "s.lhv").write_text(ANTICORRELATED_TEXT, encoding="utf-8")
+        argv = [a.format(config=solved_config_path) for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(hardylab.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADS_SCRIPT, json.dumps(argv)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(proc.stdout) == [code, sorted(["cli", "qstate", *modules]), fractions]
 
 
 class TestInstalledEntryPoint:

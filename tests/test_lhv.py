@@ -125,6 +125,14 @@ class TestMixtureStrategy:
         with pytest.raises(DomainError, match="not an assignment"):
             MixtureStrategy(components=((1.0, "ppmm"),))
 
+    def test_rejects_non_numeric_weight(self):
+        with pytest.raises(DomainError, match="^weight is not a real number: 'a'$"):
+            MixtureStrategy(components=(("a", ALL_ASSIGNMENTS[0]),))
+
+    def test_exact_weight_beyond_float_range_beside_a_float_one(self):
+        with pytest.raises(DomainError, match="^weights sum to inf, expected 1$"):
+            MixtureStrategy(components=((Fraction(10**400), PPMM), (0.5, MMPP)))
+
     def test_exact_anticorrelated_joints(self):
         for pair in PAIR_ORDER:
             p_pp = lhv_joint_probability(ANTICORRELATED, pair, (1, 1))
@@ -622,6 +630,16 @@ class TestStrategyParsing:
             MixtureStrategy(components=((10**400, PPMM), (Fraction(1, 3), MMPP)))
         with pytest.raises(DomainError, match="^weights sum to inf, expected 1$"):
             MixtureStrategy(components=((math.inf, PPMM),))
+
+    @pytest.mark.parametrize("weight", ["1e999999999", "1E-999999999", "1e1001"])
+    def test_weight_exponent_is_bounded_before_exact_conversion(self, weight):
+        message = f"^weight_pppp: exponent beyond 1000 in magnitude: '{weight}'$"
+        with pytest.raises(DomainError, match=message):
+            strategy_from_text(f"type = mixture\nweight_pppp = {weight}")
+
+    def test_weight_exponent_at_the_bound_is_exact(self):
+        strategy = strategy_from_text("type = mixture\nweight_pppp = 1\nweight_mmmm = 1e-1000")
+        assert strategy.components[1][0] == Fraction(1, 10**1000)
 
     @given(text=strategy_texts)
     @example(text="type = mixture\nweight_pppp = 1e400\n")

@@ -82,6 +82,9 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
             argv = ["hardy-solve", "--c1-squared", c1sq, "--beta0-deg", beta0, "--variant", variant]
             out.append((argv, ()))
     out.append((["hardy-solve", "--c1-squared", "0.5", "--beta0-deg", "30"], ()))
+    # The variant choices come from the parser, before any solver loads.
+    out.append((["hardy-solve", "--c1-squared", "0.25", "--beta0-deg", "30", "--variant", "bogus"], ()))
+    out.append((["hardy-check", "--help"], ()))
     # The edges of the Hardy domain: refused as maximally entangled within
     # 5e-10 of c1^2 = 0.5, solved at 5e-9, refused as a product state at
     # 1e-19; beta0 = 1e-8 deg and 90 - 1e-8 deg are degenerate, 1e-7 deg
