@@ -230,23 +230,44 @@ def _cmd_hardy_check(args: argparse.Namespace) -> int:
 
 
 _CSV_FLAGS = (",false\n", ",true\n")
+_CSV_CELL = "%s%s%.12g,%.12g%s"
+_CSV_BLOCK_CELLS = 8192
 
 
 def _write_csv(grid: ScanGrid, manifest: RunManifest, stream: TextIO) -> None:
-    """Write the scan CSV one grid row at a time.
+    """Write the scan CSV in blocks of _CSV_BLOCK_CELLS cells.
 
-    Each beta0 is formatted once for the whole grid and each c1^2 once
-    per row, with the same 12-digit format as _fmt.
+    Each c1^2 and each beta0 is formatted once for the whole grid, with
+    the same 12-digit format as _fmt. A block is a run of row-major
+    cells, so a wide grid splits mid-row and the buffers stay the same
+    size whatever the grid shape. Its five columns (c1^2 string,
+    ",beta0," string, p_hardy, delta, flag line end) fill one object
+    array, and a single `%` over the block's repeated cell format turns
+    it into text in one C-level call instead of one f-string per cell.
     """
+    import numpy as np
+
     stream.write(manifest.text())
     stream.write("c1_squared,beta0_deg,p_hardy,delta,degenerate\n")
-    betas = [f",{b:.12g}," for b in grid.beta0_deg.tolist()]
-    for x, p_row, d_row, g_row in zip(
-        grid.c1_squared.tolist(), grid.p_hardy, grid.delta, grid.degenerate
-    ):
-        x = f"{x:.12g}"
-        cells = zip(betas, p_row.tolist(), d_row.tolist(), g_row.tolist())
-        stream.write("".join([f"{x}{b}{p:.12g},{d:.12g}{_CSV_FLAGS[g]}" for b, p, d, g in cells]))
+    n_b = grid.shape[1]
+    xs = np.array([f"{x:.12g}" for x in grid.c1_squared.tolist()], dtype=object)
+    betas = np.array([f",{b:.12g}," for b in grid.beta0_deg.tolist()], dtype=object)
+    flags = np.array(_CSV_FLAGS, dtype=object)
+    p_hardy, delta = grid.p_hardy.ravel(), grid.delta.ravel()
+    degenerate = grid.degenerate.ravel().view(np.uint8)
+    block = _CSV_BLOCK_CELLS
+    block_format = _CSV_CELL * block
+    for start in range(0, p_hardy.size, block):
+        stop = min(start + block, p_hardy.size)
+        k = np.arange(start, stop)
+        cells = np.empty((stop - start, 5), dtype=object)
+        cells[:, 0] = xs[k // n_b]
+        cells[:, 1] = betas[k % n_b]
+        cells[:, 2] = p_hardy[start:stop]
+        cells[:, 3] = delta[start:stop]
+        cells[:, 4] = flags[degenerate[start:stop]]
+        text_format = block_format if stop - start == block else _CSV_CELL * (stop - start)
+        stream.write(text_format % tuple(cells.ravel().tolist()))
 
 
 def _ramp_codes(t: np.ndarray) -> list[int]:

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: output contracts, exit codes, determinism, and
 file emission."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,14 @@ import subprocess
 import sys
 import xml.dom.minidom
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hardylab
-from hardylab import __version__, cli, lhv
+from hardylab import __version__, chsh, cli, lhv
 from hardylab.chsh import scan_surface
 from hardylab.cli import (
     RunManifest,
@@ -398,6 +403,50 @@ class TestScan:
             err = proc.stderr.read()
         assert first == f"# tool: hardylab {__version__}\n".encode()
         assert code == 0 and err == b""
+
+
+# Step tokens at and beyond the scan's boundaries, then anything at all.
+step_tokens = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.sampled_from(
+        ["2", "1", "0", "-0", "-1", "nan", "-nan", "inf", "-inf", "1e400", "2.0", "0x10",
+         " 3 ", "1_0", "9" * 5000, "", "-", "--", "--out"]
+    ),
+    st.text(max_size=12),
+)
+
+
+class TestScanArgv:
+    """Any scan step tokens: a grid, one `error:` line, or a usage error."""
+
+    @given(
+        c1sq=st.one_of(st.none(), step_tokens),
+        beta0=st.one_of(st.none(), step_tokens),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(c1sq="9" * 5000, beta0="2")
+    @example(c1sq="nan", beta0="inf")
+    @example(c1sq="3", beta0="20")
+    def test_exit_codes(self, c1sq, beta0):
+        argv = ["scan"]
+        for flag, token in (("--c1sq-steps", c1sq), ("--beta0-steps", beta0)):
+            if token is not None:
+                argv += [flag, token]
+        out, err = io.StringIO(), io.StringIO()
+        # A small cap keeps every accepted grid tiny; the defaults exceed it.
+        with mock.patch.object(chsh, "MAX_SCAN_CELLS", 400), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert out.getvalue().startswith(f"# tool: hardylab {__version__}\n")
+        elif code == 1:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert code == 2
+            assert "usage:" in err.getvalue()
 
 
 class TestOptimize:

@@ -2,13 +2,17 @@
 
 `reference_csv_text` and `reference_svg_text` build the whole document
 cell by cell from Python floats, with `_ramp_color` rounding through
-Python's round(). The CLI streams row by row with precomputed axis
-strings and numpy colours; every byte must agree.
+Python's round(). The CLI streams the CSV in fixed blocks of cells and
+the SVG row by row, with precomputed axis strings and numpy colours;
+every byte must agree.
 """
+
+import io
 
 import numpy as np
 import pytest
 
+from hardylab import cli
 from hardylab.chsh import scan_surface
 from hardylab.cli import RunManifest, _ramp_codes, run
 
@@ -121,6 +125,33 @@ def test_files_and_stdout_match_reference(capsys, tmp_path, n1, n2):
     captured = capsys.readouterr()
     assert captured.out == reference_csv_text(grid, _manifest(n1, n2))
     assert captured.err == ""
+
+
+# Blocks of one cell, blocks of 7 (rows split mid-way, mostly with a
+# short last block) and one block larger than every grid.
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+@pytest.mark.parametrize("n1, n2", GRIDS + [(3, 20)])
+def test_csv_blocks_match_reference(monkeypatch, n1, n2, block):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block)
+    grid = scan_surface(n1, n2)
+    stream = io.StringIO()
+    cli._write_csv(grid, _manifest(n1, n2), stream)
+    assert stream.getvalue() == reference_csv_text(grid, _manifest(n1, n2))
+
+
+def test_csv_block_splits_a_row_and_ends_short(monkeypatch):
+    """Blocks of 7 over 3x20: rows split inside blocks, a 4-cell tail."""
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 7)
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    cli._write_csv(scan_surface(3, 20), _manifest(3, 20), Recorder())
+    # Two header writes (manifest, column names), then one per block.
+    assert [block.count("\n") for block in writes[2:]] == [7] * 8 + [4]
 
 
 def _half_way_points():

@@ -111,6 +111,8 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
                  "--out", "degenerate.csv", "--svg", "degenerate.svg"],
                 ("degenerate.csv", "degenerate.svg")))
     out.append((["scan", "--c1sq-steps", "101", "--beta0-steps", "37"], ()))
+    # Rows wider than one CSV block, so blocks split rows mid-way.
+    out.append((["scan", "--c1sq-steps", "3", "--beta0-steps", "9001"], ()))
     out.append((["optimize"], ()))
     out.append((["optimize", "--c1sq-steps", "41", "--beta0-steps", "37"], ()))
     out.append((["verify"], ()))
