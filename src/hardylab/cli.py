@@ -346,6 +346,13 @@ def _write_svg(grid: ScanGrid, manifest: RunManifest, stream: TextIO) -> None:
     stream.write("\n".join(tail) + "\n")
 
 
+def _open_output(path: str) -> TextIO:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except ValueError as exc:  # a NUL byte in the path
+        raise DomainError(f"cannot write {path!r}: {exc}") from None
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     from . import scan_surface
 
@@ -360,10 +367,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     grid = scan_surface(args.c1sq_steps, args.beta0_steps)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
+        with _open_output(args.out) as stream:
             _write_csv(grid, manifest, stream)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as stream:
+        with _open_output(args.svg) as stream:
             _write_svg(grid, manifest, stream)
     if args.out or args.svg:
         _print_manifest(manifest)
@@ -417,7 +424,7 @@ def _cmd_lhv_sim(args: argparse.Namespace) -> int:
 
     try:
         text = Path(args.strategy).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in the path
         raise DomainError(f"cannot read strategy file: {exc}") from None
     strategy = strategy_from_text(text)
     manifest = RunManifest(

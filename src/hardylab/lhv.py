@@ -69,8 +69,12 @@ def _observable_index(particle: int, setting: int) -> int:
 _MAX_WEIGHT_EXPONENT = 1000
 
 # Largest trials_per_pair simulate accepts. With four workers a run
-# peaks at about 115 bytes per trial, so the cap keeps one near 1.1 GB.
+# peaks at about 100 bytes per trial (26 per worker), so the cap keeps
+# one near 1 GB.
 MAX_TRIALS = 10**7
+
+# The segment lookup's table has at least 2**10 bins (8 KiB).
+_MIN_TABLE_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -331,6 +335,31 @@ def _pair_rng(seed: int, pair_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pair_index,)))
 
 
+def _segment_index(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Segment of each draw u in [0, 1) under normalized weights, that is
+    np.searchsorted(np.cumsum(weights)[:-1], u, side="right") bit for bit.
+
+    A table over 2**m equal bins of [0, 1) holds the segment at each
+    bin's left edge, or -1 where a bound lies strictly inside the bin;
+    u * 2**m is exact, so its truncation is the draw's bin, and only
+    draws in -1 bins are searched. With more than b log2(b) bins for b
+    bounds, a draw takes less than one binary-search step on average.
+    """
+    import numpy as np
+
+    bounds = np.cumsum(weights)[:-1]
+    bins = 1 << max(_MIN_TABLE_BITS, (len(bounds) * len(bounds).bit_length()).bit_length())
+    if bins > len(u):
+        return np.searchsorted(bounds, u, side="right")
+    table = np.searchsorted(bounds, np.arange(bins) / bins, side="right")
+    inner = bounds[bounds < 1.0] * bins
+    table[inner[inner != np.floor(inner)].astype(np.intp)] = -1
+    index = table.take((u * bins).astype(np.intp))
+    split = np.flatnonzero(index < 0)
+    index[split] = np.searchsorted(bounds, u[split], side="right")
+    return index
+
+
 def _simulate_pair(
     strategy: LhvStrategy, pair: tuple[int, int], trials: int, seed: int, pair_index: int
 ) -> tuple[int, int, int, int]:
@@ -340,7 +369,6 @@ def _simulate_pair(
     k, l = pair
     if isinstance(strategy, MixtureStrategy):
         weights = np.array([float(w) for w, _ in strategy.components])
-        weights = weights / weights.sum()
         cells = np.array(
             [
                 OUTCOME_ORDER.index((a.outcome(1, k), a.outcome(2, l)))
@@ -348,25 +376,17 @@ def _simulate_pair(
             ]
         )
         # lambda (one uniform per trial) selects the component.
-        draws = rng.random(trials)
-        index = np.minimum(
-            np.searchsorted(np.cumsum(weights), draws, side="right"),
-            len(weights) - 1,
-        )
-        tally = np.bincount(cells[index], minlength=4)
-    else:
-        masses = np.array(strategy.segment_masses)
-        masses = masses / masses.sum()
-        segment = np.minimum(
-            np.searchsorted(np.cumsum(masses), rng.random(trials), side="right"),
-            len(masses) - 1,
-        )
-        responses = np.array(strategy.responses)
-        plus1 = rng.random(trials) < responses[segment, 2 * 0 + (k - 1)]
-        plus2 = rng.random(trials) < responses[segment, 2 * 1 + (l - 1)]
-        cell = np.where(plus1, 0, 2) + np.where(plus2, 0, 1)
-        tally = np.bincount(cell, minlength=4)
-    return tuple(int(c) for c in tally)
+        index = _segment_index(rng.random(trials), weights / weights.sum())
+        return tuple(int(c) for c in np.bincount(cells[index], minlength=4))
+    masses = np.array(strategy.segment_masses)
+    segment = _segment_index(rng.random(trials), masses / masses.sum())
+    responses = np.array(strategy.responses)
+    # An outcome is -1 where its uniform draw reaches P(+1 | segment).
+    minus1 = rng.random(trials) >= responses[:, k - 1].take(segment)
+    minus2 = rng.random(trials) >= responses[:, 2 + l - 1].take(segment)
+    n1, n2 = np.count_nonzero(minus1), np.count_nonzero(minus2)
+    both = np.count_nonzero(minus1 & minus2)
+    return (trials - n1 - n2 + both, n2 - both, n1 - both, both)
 
 
 def simulate(

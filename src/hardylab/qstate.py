@@ -334,11 +334,11 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 
 def config_from_file(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"cannot read config file: {exc}") from None
+    except ValueError as exc:  # undecodable bytes, or a NUL byte in the path
+        raise DomainError(f"cannot read config file: {exc}") from None
     return config_from_text(text)
 
 

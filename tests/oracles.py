@@ -6,7 +6,9 @@ eigenvectors, and square the inner product. No trigonometric closed
 forms are shared with the package, so agreement is meaningful. The
 local polytope is described here by its vertices, while the package
 tests its facets. The CHSH maximum is located here in Decimal
-arithmetic with square roots only. Nothing here imports hardylab.
+arithmetic with square roots only. LHV trials are sampled here one
+binary search per draw, where the package looks draws up in a table.
+Nothing here imports hardylab.
 """
 
 from __future__ import annotations
@@ -138,6 +140,50 @@ def random_local_mixture(rng: np.random.Generator):
         for i in range(4)
     )
     return target, weights
+
+
+# ---------- per-trial LHV sampling reference ----------
+
+PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def _reference_segments(draws, weights):
+    """Segment of each draw: the first cumulative weight above it."""
+    weights = weights / weights.sum()
+    return np.minimum(np.searchsorted(np.cumsum(weights), draws, side="right"), len(weights) - 1)
+
+
+def reference_tally(strategy, trials, seed):
+    """Per-trial seeded counts of a strategy, in (pair, outcome) order.
+
+    Reads only the strategy's public data (mixture components, or
+    breakpoints, densities and response rows), and samples each pair
+    on its own SeedSequence(seed, spawn_key=(pair_index,)) stream: one
+    uniform per trial picks the component or segment, then, for a
+    segment, one uniform per particle decides its outcome.
+    """
+    rows = []
+    for index, (k, l) in enumerate(PAIRS):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        if hasattr(strategy, "components"):
+            weights = np.array([float(w) for w, _ in strategy.components])
+            outcomes = [
+                ((a.a1, a.a2)[k - 1], (a.b1, a.b2)[l - 1]) for _, a in strategy.components
+            ]
+            cells = np.array([OUTCOMES.index(pair) for pair in outcomes])
+            cell = cells[_reference_segments(rng.random(trials), weights)]
+        else:
+            points = strategy.breakpoints
+            masses = np.array(
+                [d * (c - b) for d, b, c in zip(strategy.densities, points, points[1:])]
+            )
+            segment = _reference_segments(rng.random(trials), masses)
+            responses = np.array(strategy.responses)
+            plus1 = rng.random(trials) < responses[segment, k - 1]
+            plus2 = rng.random(trials) < responses[segment, 2 + l - 1]
+            cell = np.where(plus1, 0, 2) + np.where(plus2, 0, 1)
+        rows.append(tuple(int(c) for c in np.bincount(cell, minlength=4)))
+    return tuple(rows)
 
 
 # ---------- the maximal Hardy probability ----------

@@ -155,6 +155,11 @@ class TestProbs:
         assert err.startswith("error: cannot read config file:")
         assert err.count("\n") == 1
 
+    def test_nul_byte_in_config_path(self, capsys):
+        code, out, err = run_cli(capsys, "probs", "--config", "a\x00b")
+        assert code == 1 and out == ""
+        assert err == "error: cannot read config file: embedded null byte\n"
+
 
 class TestCorrelation:
     def test_full_set(self, capsys, solved_config_path):
@@ -388,6 +393,14 @@ class TestScan:
         assert code == 1
         assert err == "error: a 10001x1001 grid exceeds the limit of 10000000 cells\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_nul_byte_in_output_path(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "scan", "--c1sq-steps", "2", "--beta0-steps", "2", flag, "a\x00b"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: cannot write 'a\\x00b': embedded null byte\n"
+
     def test_reader_closing_early_is_not_an_error(self):
         # The CSV (about 5 MB) is far larger than a pipe buffer, so the
         # writes after the reader leaves fail with a broken pipe.
@@ -436,6 +449,61 @@ class TestScanArgv:
         out, err = io.StringIO(), io.StringIO()
         # A small cap keeps every accepted grid tiny; the defaults exceed it.
         with mock.patch.object(chsh, "MAX_SCAN_CELLS", 400), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert out.getvalue().startswith(f"# tool: hardylab {__version__}\n")
+        elif code == 1:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert code == 2
+            assert "usage:" in err.getvalue()
+
+
+# lhv-sim count tokens: the scan's, plus values at and past the trial cap.
+count_tokens = st.one_of(
+    step_tokens,
+    st.integers(min_value=395, max_value=405).map(str),
+    st.sampled_from(["10000000", "10000001", str(10**30), "1e3", "4e2"]),
+)
+
+
+@pytest.fixture(scope="class")
+def strategy_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("strategies")
+    (folder / "mixture.lhv").write_text(ANTICORRELATED_TEXT, encoding="utf-8")
+    (folder / "stochastic.lhv").write_text(
+        "type = stochastic\nbreakpoints = 0, 0.5, 1\ndensity = 1, 1\n"
+        "response_1 = 0.9, 0.1, 0.8, 0.3\nresponse_2 = 0.2, 0.7, 0.4, 0.5\n",
+        encoding="utf-8",
+    )
+    return [str(folder / "mixture.lhv"), str(folder / "stochastic.lhv")]
+
+
+class TestLhvSimArgv:
+    """Any lhv-sim trial and seed tokens: a tally, one `error:` line, or a
+    usage error."""
+
+    @given(
+        trials=st.one_of(st.none(), count_tokens),
+        seed=st.one_of(st.none(), count_tokens),
+        which=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(trials="9" * 5000, seed="1", which=0)
+    @example(trials="400", seed=str(10**30), which=1)
+    @example(trials="401", seed="0", which=1)
+    @example(trials="nan", seed="inf", which=0)
+    def test_exit_codes(self, strategy_files, trials, seed, which):
+        argv = ["lhv-sim", "--strategy", strategy_files[which]]
+        for flag, token in (("--trials", trials), ("--seed", seed)):
+            if token is not None:
+                argv += [flag, token]
+        out, err = io.StringIO(), io.StringIO()
+        # A small cap keeps every accepted run tiny; the default exceeds it.
+        with mock.patch.object(lhv, "MAX_TRIALS", 400), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
         if code == 0:
@@ -543,6 +611,11 @@ class TestLhvSim:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot read strategy file:")
         assert err.count("\n") == 1
+
+    def test_nul_byte_in_strategy_path(self, capsys):
+        code, out, err = run_cli(capsys, "lhv-sim", "--strategy", "a\x00b")
+        assert code == 1 and out == ""
+        assert err == "error: cannot read strategy file: embedded null byte\n"
 
     @pytest.mark.parametrize(
         "breakpoints,density",

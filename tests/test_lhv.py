@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import lhv
@@ -25,7 +25,12 @@ from hardylab.lhv import (
     strategy_from_text,
 )
 from hardylab.qstate import DomainError
-from oracles import CORRELATION_VERTICES, random_local_mixture, vertex_hull_membership
+from oracles import (
+    CORRELATION_VERTICES,
+    random_local_mixture,
+    reference_tally,
+    vertex_hull_membership,
+)
 
 PPMM = DeterministicAssignment(1, 1, -1, -1)
 MMPP = DeterministicAssignment(-1, -1, 1, 1)
@@ -473,6 +478,150 @@ class TestSimulate:
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             simulate(ANTICORRELATED, 10, seed=seed)
+
+
+def _sampler_strategies():
+    """Strategies that reach every branch of the sampler's table lookup."""
+    rng = np.random.default_rng(20261018)
+    out = {}
+    for size in range(1, 17):
+        chosen = rng.choice(16, size=size, replace=False)
+        raw = [int(k) for k in rng.integers(0, 4, size=size)]
+        raw[-1] += 1  # a positive total; the zero weights repeat a bound
+        components = tuple(
+            (Fraction(k, sum(raw)), ALL_ASSIGNMENTS[i]) for k, i in zip(raw, chosen)
+        )
+        out[f"mixture{size}"] = MixtureStrategy(components=components)
+
+    def stochastic(inner, masses):
+        points = (0.0, *map(float, inner), 1.0)
+        densities = tuple(m / (hi - lo) for m, lo, hi in zip(masses, points, points[1:]))
+        responses = tuple(tuple(rng.uniform(0, 1, 4)) for _ in masses)
+        return StochasticStrategy(points, densities, responses)
+
+    for segments in (1, 2, 33, 5000):
+        inner = np.sort(rng.random(segments - 1))
+        out[f"stochastic{segments}"] = stochastic(inner, rng.dirichlet(np.ones(segments)))
+    masses = rng.integers(1, 10, size=8).astype(float)
+    masses[3] = 0.0
+    out["zero_density"] = stochastic(np.sort(rng.random(7)), masses / masses.sum())
+    # Breakpoints on multiples of 1/4096, in 20 pairs of equal width with
+    # densities (0, 2), (0.5, 1.5) or (1, 1): every mass and cumulative
+    # mass is exact, and many of them fall on the lookup table's bin edges.
+    cuts = np.sort(rng.choice(np.arange(1, 2048), size=19, replace=False))
+    widths = np.repeat(np.diff(cuts, prepend=0, append=2048), 2) / 4096
+    pairs = [(0.0, 2.0)] + [((0.0, 2.0), (0.5, 1.5), (1.0, 1.0))[i] for i in rng.integers(0, 3, 19)]
+    masses = widths * np.ravel(pairs)
+    out["dyadic"] = stochastic(np.cumsum(widths)[:-1], masses)
+    return out
+
+
+SAMPLER_STRATEGIES = _sampler_strategies()
+
+# Weights for a segment lookup: with zeros, a single weight, or many.
+segment_weights = st.one_of(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 0.25, 1e-300]), st.floats(0.0, 1e3)),
+        min_size=1,
+        max_size=40,
+    ).map(np.array),
+    st.builds(
+        lambda count, seed, zeros: np.where(
+            np.random.default_rng(seed).random(count) < zeros,
+            0.0,
+            np.random.default_rng(seed + 1).random(count),
+        ),
+        st.integers(1, 3000),
+        st.integers(0, 2**32),
+        st.sampled_from([0.0, 0.1, 0.9]),
+    ),
+)
+
+
+class TestTableSampler:
+    """simulate's table lookup gives the per-trial binary search's tallies."""
+
+    @pytest.mark.parametrize("name", list(SAMPLER_STRATEGIES))
+    def test_matches_per_trial_reference(self, name):
+        strategy = SAMPLER_STRATEGIES[name]
+        for trials in (1, 2, 7, 4097):
+            for seed in (0, 3, 2**40 + 1):
+                assert simulate(strategy, trials, seed).counts == reference_tally(
+                    strategy, trials, seed
+                )
+        seed = len(name)
+        assert simulate(strategy, 250_000, seed).counts == reference_tally(
+            strategy, 250_000, seed
+        )
+
+    # Tallies taken from the per-trial sampler the table replaced.
+    GOLDEN = (
+        (
+            MixtureStrategy(
+                components=(
+                    (Fraction(1, 3), DeterministicAssignment(1, 1, -1, -1)),
+                    (Fraction(0), DeterministicAssignment(1, -1, 1, -1)),
+                    (Fraction(1, 6), DeterministicAssignment(-1, -1, 1, 1)),
+                    (Fraction(1, 2), DeterministicAssignment(-1, 1, 1, -1)),
+                    (Fraction(0), DeterministicAssignment(-1, -1, -1, -1)),
+                )
+            ),
+            2024,
+            (
+                (0, 83172, 166828, 0),
+                (0, 83445, 41946, 124609),
+                (124945, 83389, 41666, 0),
+                (0, 208461, 41539, 0),
+            ),
+        ),
+        (
+            StochasticStrategy(
+                breakpoints=(0.0, 0.25, 0.5, 1.0),
+                densities=(2.0, 0.0, 1.0),
+                responses=(
+                    (0.9, 0.1, 0.8, 0.3),
+                    (0.5, 0.5, 0.5, 0.5),
+                    (0.2, 0.7, 0.4, 0.6),
+                ),
+            ),
+            7,
+            (
+                (99819, 37543, 49877, 62761),
+                (49140, 88823, 63534, 48503),
+                (44858, 55187, 105394, 44561),
+                (56359, 43705, 56549, 93387),
+            ),
+        ),
+    )
+
+    @pytest.mark.parametrize("strategy,seed,counts", GOLDEN, ids=["mixture", "stochastic"])
+    def test_golden_tallies(self, strategy, seed, counts):
+        assert simulate(strategy, 250_000, seed).counts == counts
+        assert reference_tally(strategy, 250_000, seed) == counts
+
+    @given(
+        weights=segment_weights,
+        seed=st.integers(0, 2**32),
+        edges=st.lists(st.tuples(st.integers(10, 20), st.integers(0, 2**20)), max_size=20),
+        pad=st.sampled_from([0, 1024, 1 << 17]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_segment_index_is_the_binary_search(self, weights, seed, edges, pad):
+        assume(weights.sum() > 0)
+        weights = weights / weights.sum()
+        bounds = np.cumsum(weights)[:-1]
+        near = np.concatenate([bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0)])
+        special = np.concatenate(
+            [
+                [0.0, np.nextafter(1.0, 0.0)],
+                [(k % (1 << m)) / (1 << m) for m, k in edges],
+                near[(near >= 0.0) & (near < 1.0)],
+            ]
+        )
+        rng = np.random.default_rng(seed)
+        u = rng.permutation(np.concatenate([special, rng.random(pad)]))
+        expected = np.searchsorted(bounds, u, side="right")
+        assert np.array_equal(lhv._segment_index(u, weights), expected)
 
 
 class TestLocalRealismForcing:

@@ -14,6 +14,7 @@ the exit status is 1 when any case differs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -59,6 +60,34 @@ CONFIGS: dict[str, str | bytes] = {
     "huge_weight.lhv": "type = mixture\nweight_pppp = 1e400\n",
     "not_utf8.lhv": b"type = mixture\xff\n",
 }
+
+
+def _dyadic_stochastic() -> str:
+    """40 segments on multiples of 1/4096, in 20 pairs of equal width with
+    densities (0, 2), (0.5, 1.5) or (1, 1): the cumulative masses are
+    exact, and many fall on the edges of the sampler's lookup bins."""
+    halves = [4 + 7 * i + i * i % 13 for i in range(19)]
+    halves.append(2048 - sum(halves))
+    cuts = list(itertools.accumulate(w for w in halves for _ in (0, 1)))
+    densities = [d for i in range(20) for d in ((0.0, 2.0), (0.5, 1.5), (1.0, 1.0))[i % 3]]
+    lines = [
+        "type = stochastic",
+        "breakpoints = 0.0, " + ", ".join(repr(c / 4096) for c in cuts),
+        "density = " + ", ".join(map(repr, densities)),
+    ]
+    lines += [
+        f"response_{i + 1} = " + ", ".join(str(i * step % 100 / 100) for step in (13, 29, 41, 53))
+        for i in range(40)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+CONFIGS["dyadic40.lhv"] = _dyadic_stochastic()
+# All 16 assignments, weights 1/136 to 16/136.
+CONFIGS["mixture16.lhv"] = "type = mixture\n" + "".join(
+    f"weight_{''.join(label)} = {i + 1}/136\n"
+    for i, label in enumerate(itertools.product("pm", repeat=4))
+)
 
 PAIRS = ("11", "12", "21", "22")
 VARIANTS = ("canonical", "all-flipped", "particle1-flipped", "particle2-flipped")
@@ -120,10 +149,17 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
         for seed in ("0", "7", "123456", "-1"):
             argv = ["lhv-sim", "--strategy", strategy, "--trials", "5000", "--seed", seed]
             out.append((argv, ()))
+    # The benchmark's trial count, through the sampler's lookup table.
+    for strategy in ("dyadic40.lhv", "mixture16.lhv"):
+        for seed in ("1", "2024"):
+            argv = ["lhv-sim", "--strategy", strategy, "--trials", "250000", "--seed", seed]
+            out.append((argv, ()))
     for name in CONFIGS:
         if name.endswith(".cfg") and name not in ("solved.cfg", "pair.cfg", "phases.cfg"):
             out.append((["probs", "--config", name], ()))
-        if name.endswith(".lhv") and name not in ("mixture.lhv", "stochastic.lhv"):
+        if name.endswith(".lhv") and name not in (
+            "mixture.lhv", "stochastic.lhv", "dyadic40.lhv", "mixture16.lhv"
+        ):
             out.append((["lhv-sim", "--strategy", name], ()))
     return out
 
