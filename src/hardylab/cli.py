@@ -91,21 +91,6 @@ class RunManifest:
         return "\n".join(self.lines()) + "\n"
 
 
-def _workers() -> int:
-    """lhv-sim's worker cap: HARDY_LAB_THREADS if set, else available parallelism."""
-    raw = os.environ.get("HARDY_LAB_THREADS")
-    available = os.cpu_count() or 1
-    if raw is None:
-        return available
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"HARDY_LAB_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise DomainError(f"HARDY_LAB_THREADS must be >= 1, got {value}")
-    return min(value, available)
-
-
 def _print_manifest(manifest: RunManifest) -> None:
     for line in manifest.lines():
         print(line)
@@ -432,7 +417,7 @@ def _cmd_lhv_sim(args: argparse.Namespace) -> int:
         parameters=(("strategy", args.strategy), ("trials", str(args.trials))),
         seed=args.seed,
     )
-    tally = simulate(strategy, args.trials, args.seed, workers=min(_workers(), 4))
+    tally = simulate(strategy, args.trials, args.seed)
     _print_manifest(manifest)
     print(f"trials_per_pair = {tally.trials_per_pair}")
     for name, pair in zip(_PAIR_NAMES, PAIR_ORDER):
@@ -526,7 +511,10 @@ def quadrature_error(errors) -> float:
         raise DomainError(f"errors must be numbers, got {errors!r}") from None
     if not all(math.isfinite(s) and s >= 0 for s in sigmas):
         raise DomainError(f"errors must be finite and non-negative, got {errors!r}")
-    return math.sqrt(sum(s**2 for s in sigmas))
+    error = math.hypot(*sigmas)  # no overflow unless the result itself does
+    if math.isinf(error):
+        raise DomainError(f"errors' quadrature sum exceeds the float range: {errors!r}")
+    return error
 
 
 def inequality_margin(values) -> Decimal:

@@ -68,9 +68,10 @@ def _observable_index(particle: int, setting: int) -> int:
 # integer), and any weight past this bound is far outside the float range.
 _MAX_WEIGHT_EXPONENT = 1000
 
-# Largest trials_per_pair simulate accepts. With four workers a run
-# peaks at about 100 bytes per trial (26 per worker), so the cap keeps
-# one near 1 GB.
+# Largest trials_per_pair simulate accepts. A run peaks at about 26
+# bytes per trial (tracemalloc, 10**6 trials), so one at the cap takes
+# about 260 MB and two seconds; the cap stays the documented lhv-sim
+# limit rather than growing with the memory that serial sampling freed.
 MAX_TRIALS = 10**7
 
 # The segment lookup's table has at least 2**10 bins (8 KiB).
@@ -262,10 +263,10 @@ def lhv_joint_probability(
             if assignment.outcome(1, k) == m and assignment.outcome(2, l) == n
         )
     if isinstance(strategy, StochasticStrategy):
+        first, second = _OBSERVABLE_INDEX[(1, k)], _OBSERVABLE_INDEX[(2, l)]
         total = 0.0
-        for segment, mass in enumerate(strategy.segment_masses):
-            p1 = strategy.response(segment, 1, k)
-            p2 = strategy.response(segment, 2, l)
+        for mass, row in zip(strategy.segment_masses, strategy.responses):
+            p1, p2 = row[first], row[second]
             q1 = p1 if m == 1 else 1.0 - p1
             q2 = p2 if n == 1 else 1.0 - p2
             total += mass * q1 * q2
@@ -328,8 +329,8 @@ class TrialTally:
 
 
 def _pair_rng(seed: int, pair_index: int) -> np.random.Generator:
-    # Substream fixed by (seed, pair index): results do not depend on
-    # how pairs are scheduled across workers.
+    # Substream fixed by (seed, pair index): a pair's draws do not
+    # depend on the other pairs.
     import numpy as np
 
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pair_index,)))
@@ -360,32 +361,26 @@ def _segment_index(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return index
 
 
-def _simulate_pair(
-    strategy: LhvStrategy, pair: tuple[int, int], trials: int, seed: int, pair_index: int
+def _tally_pair(
+    rng: np.random.Generator, trials: int, weights: np.ndarray,
+    first: np.ndarray, second: np.ndarray, mixture: bool,
 ) -> tuple[int, int, int, int]:
+    """One setting pair's counts in OUTCOME_ORDER. first and second hold,
+    per component, its outcomes of the pair's two observables or, per
+    segment, their P(+1 | segment)."""
     import numpy as np
 
-    rng = _pair_rng(seed, pair_index)
-    k, l = pair
-    if isinstance(strategy, MixtureStrategy):
-        weights = np.array([float(w) for w, _ in strategy.components])
-        cells = np.array(
-            [
-                OUTCOME_ORDER.index((a.outcome(1, k), a.outcome(2, l)))
-                for _, a in strategy.components
-            ]
-        )
-        # lambda (one uniform per trial) selects the component.
-        index = _segment_index(rng.random(trials), weights / weights.sum())
+    # lambda (one uniform per trial) selects the component or segment.
+    index = _segment_index(rng.random(trials), weights)
+    if mixture:
+        # Each component's OUTCOME_ORDER cell: (+,+), (+,-), (-,+), (-,-).
+        cells = 2 * (first < 0) + (second < 0)
         return tuple(int(c) for c in np.bincount(cells[index], minlength=4))
-    masses = np.array(strategy.segment_masses)
-    segment = _segment_index(rng.random(trials), masses / masses.sum())
-    responses = np.array(strategy.responses)
     # An outcome is -1 where its uniform draw reaches P(+1 | segment).
-    minus1 = rng.random(trials) >= responses[:, k - 1].take(segment)
-    minus2 = rng.random(trials) >= responses[:, 2 + l - 1].take(segment)
-    n1, n2 = np.count_nonzero(minus1), np.count_nonzero(minus2)
-    both = np.count_nonzero(minus1 & minus2)
+    minus1 = rng.random(trials) >= first.take(index)
+    minus2 = rng.random(trials) >= second.take(index)
+    n1, n2 = int(np.count_nonzero(minus1)), int(np.count_nonzero(minus2))
+    both = int(np.count_nonzero(minus1 & minus2))
     return (trials - n1 - n2 + both, n2 - both, n1 - both, both)
 
 
@@ -398,27 +393,35 @@ def simulate(
     """Run trials_per_pair seeded trials for each of the four setting pairs.
 
     Each trial draws one hidden state and produces both outcomes from
-    it. Reruns with the same seed give identical tallies, regardless of
-    worker count.
+    it. The pairs run in PAIR_ORDER, each on its own (seed, pair index)
+    substream, so reruns with the same seed give identical tallies.
+    workers is accepted and ignored: sampling is serial, and the
+    benchmark's local-models workload still passes workers=1.
     """
     trials = _require_count(trials_per_pair, 1, "trials_per_pair must be a positive integer")
     if trials > MAX_TRIALS:
         raise DomainError(f"{trials} trials per pair exceed the limit of {MAX_TRIALS}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    lhv_joint_probability(strategy, (1, 1), (1, 1))  # validates strategy type
-    jobs = [
-        (strategy, pair, trials, seed, index) for index, pair in enumerate(PAIR_ORDER)
-    ]
-    workers = 4 if workers is None else max(1, min(int(workers), 4))
-    if workers == 1:
-        rows = [_simulate_pair(*job) for job in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    if not isinstance(strategy, (MixtureStrategy, StochasticStrategy)):
+        raise DomainError(f"unknown strategy type: {type(strategy).__name__}")
+    import numpy as np
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda job: _simulate_pair(*job), jobs))
-    return TrialTally(trials_per_pair=trials, counts=tuple(rows))
+    mixture = isinstance(strategy, MixtureStrategy)
+    if mixture:
+        weights = np.array([float(w) for w, _ in strategy.components])
+        # One (a1, a2, b1, b2) outcome row per component.
+        rows = np.array([(a.a1, a.a2, a.b1, a.b2) for _, a in strategy.components])
+    else:
+        weights = np.array(strategy.segment_masses)
+        # One (p11, p12, p21, p22) row of P(+1 | segment) per segment.
+        rows = np.array(strategy.responses)
+    weights = weights / weights.sum()
+    counts = tuple(
+        _tally_pair(_pair_rng(seed, i), trials, weights, rows[:, k - 1], rows[:, 1 + l], mixture)
+        for i, (k, l) in enumerate(PAIR_ORDER)
+    )
+    return TrialTally(trials_per_pair=trials, counts=counts)
 
 
 def local_realism_forcing(e11: float, e12: float, e21: float, tol: float = BOUNDARY_TOL) -> int:

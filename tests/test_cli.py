@@ -45,6 +45,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_quietly(argv):
+    """cli.run in process with stdout and stderr captured, for properties
+    (Hypothesis refuses capsys)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(code, out, err):
+    """Exit 0 with a manifest and a silent stderr, 1 with exactly one
+    `error:` line, or 2 with a usage message."""
+    if code == 0:
+        assert err == ""
+        assert out.startswith(f"# tool: hardylab {__version__}\n")
+    elif code == 1:
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+    else:
+        assert code == 2
+        assert "usage:" in err
+
+
 def parse_values(out):
     """Collect 'key = value' lines into a dict (last wins)."""
     values = {}
@@ -446,20 +469,9 @@ class TestScanArgv:
         for flag, token in (("--c1sq-steps", c1sq), ("--beta0-steps", beta0)):
             if token is not None:
                 argv += [flag, token]
-        out, err = io.StringIO(), io.StringIO()
         # A small cap keeps every accepted grid tiny; the defaults exceed it.
-        with mock.patch.object(chsh, "MAX_SCAN_CELLS", 400), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        if code == 0:
-            assert err.getvalue() == ""
-            assert out.getvalue().startswith(f"# tool: hardylab {__version__}\n")
-        elif code == 1:
-            assert err.getvalue().count("\n") == 1
-            assert err.getvalue().startswith("error: ")
-        else:
-            assert code == 2
-            assert "usage:" in err.getvalue()
+        with mock.patch.object(chsh, "MAX_SCAN_CELLS", 400):
+            assert_exit_contract(*run_quietly(argv))
 
 
 # lhv-sim count tokens: the scan's, plus values at and past the trial cap.
@@ -501,20 +513,60 @@ class TestLhvSimArgv:
         for flag, token in (("--trials", trials), ("--seed", seed)):
             if token is not None:
                 argv += [flag, token]
-        out, err = io.StringIO(), io.StringIO()
         # A small cap keeps every accepted run tiny; the default exceeds it.
-        with mock.patch.object(lhv, "MAX_TRIALS", 400), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        if code == 0:
-            assert err.getvalue() == ""
-            assert out.getvalue().startswith(f"# tool: hardylab {__version__}\n")
-        elif code == 1:
-            assert err.getvalue().count("\n") == 1
-            assert err.getvalue().startswith("error: ")
-        else:
-            assert code == 2
-            assert "usage:" in err.getvalue()
+        with mock.patch.object(lhv, "MAX_TRIALS", 400):
+            assert_exit_contract(*run_quietly(argv))
+
+
+# Number tokens at and beyond the float and probability boundaries:
+# signalling NaNs, overflow on squaring, decimal exponents past 10**9.
+number_tokens = st.one_of(
+    st.sampled_from(
+        ["0", "-0", "1", "-1", "0.5", "-0.5", "1e-320", "nan", "-nan", "inf", "-inf", "sNaN",
+         "-sNaN", "1e200", "1e308", "1.8e308", "1e400", "-1e400", "1e1000000001",
+         "1e-1000000001", "0e-99999999999", "0x10", "1_0", ""]
+    ),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+def four(*tokens):
+    return st.one_of(st.none(), *(st.lists(t, min_size=4, max_size=4) for t in tokens))
+
+
+# Valid values and errors reach the later checks; random ones rarely do.
+values_tokens = four(st.sampled_from(["0", "1", "0.099", "5e-4"]), number_tokens)
+errors_tokens = four(st.floats(min_value=0, allow_infinity=False).map(repr), number_tokens)
+
+
+class TestNumberArgv:
+    """Any inequality and hardy-solve number tokens: a result, one
+    `error:` line, or a usage error."""
+
+    @given(values=values_tokens, errors=errors_tokens)
+    @settings(max_examples=300, deadline=None)
+    @example(values=["1e-1000000001", "sNaN", "0", "0"], errors=None)
+    def test_inequality_exit_codes(self, values, errors):
+        argv = ["inequality"]
+        for flag, tokens in (("--values", values), ("--errors", errors)):
+            if tokens is not None:
+                argv += [flag, *tokens]
+        assert_exit_contract(*run_quietly(argv))
+
+    @given(
+        c1sq=st.one_of(st.none(), number_tokens),
+        beta0=st.one_of(st.none(), number_tokens),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(c1sq="0.3", beta0="1e308")
+    @example(c1sq="1e-320", beta0="40")
+    def test_hardy_solve_exit_codes(self, c1sq, beta0):
+        argv = ["hardy-solve"]
+        for flag, token in (("--c1-squared", c1sq), ("--beta0-deg", beta0)):
+            if token is not None:
+                argv += [flag, token]
+        assert_exit_contract(*run_quietly(argv))
 
 
 class TestOptimize:
@@ -759,6 +811,21 @@ class TestInequality:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and message in err
 
+    def test_huge_errors_do_not_overflow(self, capsys):
+        code, out, err = run_cli(
+            capsys, "inequality",
+            "--values", "0.1", "0", "0", "0", "--errors", "1e200", "1e200", "0", "0",
+        )
+        assert code == 0 and err == ""
+        assert parse_values(out)["margin_std_error"] == "1.41421356237e+200"
+
+    def test_errors_beyond_the_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "inequality", "--values", "0.1", "0", "0", "0", "--errors", *["1e308"] * 4
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "exceeds the float range" in err
+
     def test_margin_helpers(self):
         assert inequality_margin(TWO_PHOTON_FIXTURE_VALUES) == Decimal("0.0846")
         assert quadrature_error(TWO_PHOTON_FIXTURE_ERRORS) == pytest.approx(
@@ -767,31 +834,16 @@ class TestInequality:
 
 
 class TestWorkersEnvironment:
-    """HARDY_LAB_THREADS caps lhv-sim's workers; nothing else reads it."""
-
-    @staticmethod
-    def _args(path):
-        return ("lhv-sim", "--strategy", path, "--trials", "3000", "--seed", "5")
-
-    def test_explicit_thread_cap(self, capsys, monkeypatch, anticorrelated_path):
-        monkeypatch.setenv("HARDY_LAB_THREADS", "2")
-        code, out, _ = run_cli(capsys, *self._args(anticorrelated_path))
-        assert code == 0
+    """HARDY_LAB_THREADS, once lhv-sim's worker cap, is read by nothing."""
 
     def test_cap_does_not_change_bytes(self, capsys, monkeypatch, anticorrelated_path):
-        code, wide, _ = run_cli(capsys, *self._args(anticorrelated_path))
+        argv = ("lhv-sim", "--strategy", anticorrelated_path, "--trials", "3000", "--seed", "5")
+        monkeypatch.delenv("HARDY_LAB_THREADS", raising=False)
+        code, expected, _ = run_cli(capsys, *argv)
         assert code == 0
-        monkeypatch.setenv("HARDY_LAB_THREADS", "1")
-        code, narrow, _ = run_cli(capsys, *self._args(anticorrelated_path))
-        assert code == 0
-        assert wide == narrow
-
-    @pytest.mark.parametrize("value,fragment", [("0", ">= 1"), ("x", "integer")])
-    def test_rejects_bad_cap(self, capsys, monkeypatch, value, fragment, anticorrelated_path):
-        monkeypatch.setenv("HARDY_LAB_THREADS", value)
-        code, _, err = run_cli(capsys, *self._args(anticorrelated_path))
-        assert code == 1
-        assert fragment in err
+        for value in ("1", "2", "0", "x"):
+            monkeypatch.setenv("HARDY_LAB_THREADS", value)
+            assert run_cli(capsys, *argv) == (0, expected, "")
 
     @pytest.mark.parametrize("argv", [TestScan.ARGS, ("verify",)])
     def test_scan_and_verify_ignore_cap(self, capsys, monkeypatch, argv):
@@ -836,7 +888,8 @@ from hardylab import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.run(json.loads(sys.argv[1]))
 loaded = [m[len("hardylab."):] for m in sys.modules if m.startswith("hardylab.")]
-print(json.dumps([code, sorted(loaded), "fractions" in sys.modules]))
+print(json.dumps([code, sorted(loaded), "fractions" in sys.modules,
+                  "concurrent.futures" in sys.modules]))
 """
 
 _SOLVE = ["hardy-solve", "--c1-squared", "0.3", "--beta0-deg", "40"]
@@ -859,8 +912,8 @@ _LOADS = [
 
 
 class TestLightStartup:
-    """Subcommands load only what they use: no numpy or thread pool for
-    scalar work, and only the package modules each one reaches."""
+    """Subcommands load only what they use: no numpy for scalar work, no
+    thread pool at all, and only the package modules each one reaches."""
 
     def test_scalar_subcommands_load_no_numpy(self, tmp_path, solved_config_path):
         (tmp_path / "s.lhv").write_text(ANTICORRELATED_TEXT, encoding="utf-8")
@@ -903,8 +956,9 @@ class TestLightStartup:
     def test_each_subcommand_loads_only_its_modules(
         self, tmp_path, solved_config_path, argv, code, modules, fractions
     ):
-        # Package modules besides cli and qstate, and fractions (which
-        # only lhv needs), loaded by one run in a fresh interpreter.
+        # Package modules besides cli and qstate, fractions (which only
+        # lhv needs) and the thread pool (which nothing needs), loaded by
+        # one run in a fresh interpreter.
         (tmp_path / "s.lhv").write_text(ANTICORRELATED_TEXT, encoding="utf-8")
         argv = [a.format(config=solved_config_path) for a in argv]
         env = dict(os.environ, PYTHONPATH=str(Path(hardylab.__file__).resolve().parents[1]))
@@ -912,7 +966,9 @@ class TestLightStartup:
             [sys.executable, "-c", _LOADS_SCRIPT, json.dumps(argv)],
             cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(proc.stdout) == [code, sorted(["cli", "qstate", *modules]), fractions]
+        assert json.loads(proc.stdout) == [
+            code, sorted(["cli", "qstate", *modules]), fractions, False
+        ]
 
 
 class TestInstalledEntryPoint:

@@ -247,6 +247,23 @@ class TestStochasticStrategy:
             -1.0, abs=1e-15
         )
 
+    def test_hand_integral_tells_the_particles_apart(self):
+        strategy = StochasticStrategy(
+            breakpoints=(0.0, 0.5, 1.0),
+            densities=(1.0, 1.0),
+            responses=((0.9, 0.1, 0.8, 0.3), (0.2, 0.7, 0.4, 0.6)),
+        )
+        # 0.5 * (q1 * q2 in segment 1 + q1 * q2 in segment 2), q = p or 1 - p.
+        for pair, outcomes, expected in (
+            ((1, 1), (1, -1), 0.5 * (0.9 * 0.2 + 0.2 * 0.6)),
+            ((1, 1), (-1, 1), 0.5 * (0.1 * 0.8 + 0.8 * 0.4)),
+            ((1, 2), (-1, 1), 0.5 * (0.1 * 0.3 + 0.8 * 0.6)),
+            ((2, 2), (1, -1), 0.5 * (0.1 * 0.7 + 0.7 * 0.4)),
+        ):
+            assert lhv_joint_probability(strategy, pair, outcomes) == pytest.approx(
+                expected, abs=1e-15
+            )
+
     def test_fair_coin_gives_flat_joints(self):
         strategy = StochasticStrategy(
             breakpoints=(0.0, 1.0), densities=(1.0,), responses=((0.5,) * 4,)
@@ -420,6 +437,15 @@ class TestSimulate:
         serial = simulate(self.COIN, 2000, seed=11, workers=1)
         for workers in (2, 4, 99):
             assert simulate(self.COIN, 2000, seed=11, workers=workers) == serial
+
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(DomainError, match="unknown strategy type: object"):
+            simulate(object(), 10, 0)
+
+    def test_counts_are_python_ints(self):
+        for strategy in (ANTICORRELATED, self.COIN):
+            counts = simulate(strategy, 100, seed=2).counts
+            assert {type(c) for row in counts for c in row} == {int}
 
     def test_seed_changes_result(self):
         assert simulate(self.COIN, 2000, seed=0) != simulate(self.COIN, 2000, seed=1)

@@ -126,6 +126,9 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
     out.append((["inequality", "--values", "0.1", "0.01", "0.02", "0.03"], ()))
     out.append((["inequality", "--values", "0.1", "0.01", "0.02", "0.03",
                  "--errors", "0.01", "0.001", "0.002", "0.003"], ()))
+    # Errors whose squares overflow a float; the last pair's root does too.
+    for errors in (("1e200", "1e200", "0", "0"), ("1e308",) * 4):
+        out.append((["inequality", "--values", "0.1", "0", "0", "0", "--errors", *errors], ()))
     out.append((["scan", "--out", "grid.csv", "--svg", "grid.svg"], ("grid.csv", "grid.svg")))
     out.append((["scan", "--c1sq-steps", "241", "--beta0-steps", "201",
                  "--out", "big.csv", "--svg", "big.svg"], ("big.csv", "big.svg")))
@@ -167,7 +170,7 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
 def run_case(src: Path, work: Path, argv: list[str], files: tuple[str, ...]):
     for name in files:
         (work / name).unlink(missing_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(src), HARDY_LAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "hardylab.cli", *argv],
         cwd=work, env=env, capture_output=True, check=False,
