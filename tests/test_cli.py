@@ -836,8 +836,18 @@ class TestInequality:
 class TestWorkersEnvironment:
     """HARDY_LAB_THREADS, once lhv-sim's worker cap, is read by nothing."""
 
+    @staticmethod
+    def _args(path):
+        return ("lhv-sim", "--strategy", path, "--trials", "3000", "--seed", "5")
+
+    def test_explicit_thread_cap(self, capsys, monkeypatch, anticorrelated_path):
+        monkeypatch.setenv("HARDY_LAB_THREADS", "2")
+        code, out, err = run_cli(capsys, *self._args(anticorrelated_path))
+        assert code == 0 and err == ""
+        assert parse_values(out)["trials_per_pair"] == "3000"
+
     def test_cap_does_not_change_bytes(self, capsys, monkeypatch, anticorrelated_path):
-        argv = ("lhv-sim", "--strategy", anticorrelated_path, "--trials", "3000", "--seed", "5")
+        argv = self._args(anticorrelated_path)
         monkeypatch.delenv("HARDY_LAB_THREADS", raising=False)
         code, expected, _ = run_cli(capsys, *argv)
         assert code == 0
