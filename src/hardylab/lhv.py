@@ -8,13 +8,14 @@ the factorized form
     P(D_1k = m, D_2l = n) = integral d(lambda) rho(lambda)
                             P(D_1k = m | lambda) P(D_2l = n | lambda)
 
-Two concrete representations are provided: a finite mixture of
-deterministic outcome assignments (the extreme points), and a
-piecewise-constant density on the unit interval with per-segment
-response probabilities. Every deterministic assignment has CHSH value
-exactly 2, so every local model obeys Delta <= 2; the mixture API keeps
-exact (Fraction) weights exact end to end so that bound can be tested
-without tolerance.
+Two representations are provided: a finite mixture of deterministic
+outcome assignments (the extreme points), and a piecewise-constant
+density on the unit interval with per-segment response probabilities.
+By Fine's theorem the second induces a mixture over the 16 assignments;
+both are integrated and sampled through that one mixture form. Every
+assignment has CHSH value exactly 2, so every local model obeys
+Delta <= 2; exact (Fraction) mixture weights stay exact end to end so
+that bound can be tested without tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Union
 
 from .qstate import BOUNDARY_TOL, OUTCOME_ORDER, PAIR_ORDER, ROUNDING_TOL, DomainError
@@ -68,10 +70,10 @@ def _observable_index(particle: int, setting: int) -> int:
 # integer), and any weight past this bound is far outside the float range.
 _MAX_WEIGHT_EXPONENT = 1000
 
-# Largest trials_per_pair simulate accepts. A run peaks at about 26
-# bytes per trial (tracemalloc, 10**6 trials), so one at the cap takes
-# about 260 MB and two seconds; the cap stays the documented lhv-sim
-# limit rather than growing with the memory that serial sampling freed.
+# Largest trials_per_pair simulate accepts. A run peaks at about 24
+# bytes per trial (tracemalloc, 10**6 trials, stochastic or mixture), so
+# one at the cap takes about 240 MB and one second; the cap stays the
+# documented lhv-sim limit rather than growing with the memory freed.
 MAX_TRIALS = 10**7
 
 # The segment lookup's table has at least 2**10 bins (8 KiB).
@@ -205,9 +207,7 @@ class StochasticStrategy:
                 raise DomainError("each response row needs 4 probabilities")
             if any(not 0.0 <= p <= 1.0 for p in row):
                 raise DomainError(f"response probabilities must lie in [0, 1]: {row}")
-        mass = sum(
-            d * (c - b) for d, b, c in zip(densities, points, points[1:])
-        )
+        mass = sum(self.segment_masses)
         if abs(mass - 1.0) > BOUNDARY_TOL:
             raise DomainError(f"density integrates to {mass!r}, expected 1")
 
@@ -243,6 +243,34 @@ def _check_outcomes(outcomes: tuple[int, int]) -> tuple[int, int]:
     return pair
 
 
+def _assignment_mixture(strategy: LhvStrategy) -> tuple:
+    """A strategy's (weight, assignment) components.
+
+    A mixture's own are returned untouched. A stochastic model gives the
+    float weight w(a) = sum over segments of mass * prod over D_ij of
+    P(D_ij = a_ij | segment) on each of ALL_ASSIGNMENTS, leaving out those
+    of weight exactly 0 so that no rounded cumulative weight draws one.
+    """
+    if isinstance(strategy, MixtureStrategy):
+        return strategy.components
+    if not isinstance(strategy, StochasticStrategy):
+        raise DomainError(f"unknown strategy type: {type(strategy).__name__}")
+    import numpy as np
+
+    n = len(strategy.densities)
+    points = np.fromiter(strategy.breakpoints, float, n + 1)
+    mass = np.fromiter(strategy.densities, float, n) * np.diff(points)
+    # P(+1 | segment) of D11, D12, D21, D22, one contiguous row each.
+    plus = np.fromiter(chain.from_iterable(strategy.responses), float, 4 * n).reshape(n, 4).T.copy()
+    # both[obs] holds P(+1 | segment) and P(-1 | segment) of one observable.
+    both = np.stack([plus, 1.0 - plus], axis=1)
+    # Rows over (a1, a2) and over (b1, b2), +1 first: ALL_ASSIGNMENTS order.
+    first = ((mass * both[0])[:, None] * both[1]).reshape(4, n)
+    second = (both[2][:, None] * both[3]).reshape(4, n)
+    weights = (first @ second.T).ravel().tolist()
+    return tuple((w, a) for w, a in zip(weights, ALL_ASSIGNMENTS) if w != 0.0)
+
+
 def lhv_joint_probability(
     strategy: LhvStrategy,
     setting_pair: tuple[int, int],
@@ -250,28 +278,18 @@ def lhv_joint_probability(
 ):
     """Joint probability of the given outcomes under a local strategy.
 
-    Mixtures are summed term by term in the weights' own arithmetic
-    (exact for Fractions); stochastic models are integrated segment by
-    segment, which is exact for piecewise-constant densities.
+    The strategy's assignment mixture is summed term by term in the
+    weights' own arithmetic: exact for Fraction mixtures, and for a
+    stochastic model the exact integral of its piecewise-constant
+    density, up to float rounding.
     """
     k, l = _check_pair(setting_pair)
     m, n = _check_outcomes(outcomes)
-    if isinstance(strategy, MixtureStrategy):
-        return sum(
-            weight
-            for weight, assignment in strategy.components
-            if assignment.outcome(1, k) == m and assignment.outcome(2, l) == n
-        )
-    if isinstance(strategy, StochasticStrategy):
-        first, second = _OBSERVABLE_INDEX[(1, k)], _OBSERVABLE_INDEX[(2, l)]
-        total = 0.0
-        for mass, row in zip(strategy.segment_masses, strategy.responses):
-            p1, p2 = row[first], row[second]
-            q1 = p1 if m == 1 else 1.0 - p1
-            q2 = p2 if n == 1 else 1.0 - p2
-            total += mass * q1 * q2
-        return total
-    raise DomainError(f"unknown strategy type: {type(strategy).__name__}")
+    return sum(
+        weight
+        for weight, assignment in _assignment_mixture(strategy)
+        if assignment.outcome(1, k) == m and assignment.outcome(2, l) == n
+    )
 
 
 @dataclass(frozen=True)
@@ -296,8 +314,11 @@ class TrialTally:
         if len(counts) != 4:
             raise DomainError("need counts for all 4 setting pairs")
         for row in counts:
-            if len(row) != 4 or not all(isinstance(c, numbers.Integral) and c >= 0 for c in row):
-                raise DomainError(f"bad count row: {row!r}")
+            bad = f"bad count row: {row!r}"
+            if len(row) != 4:
+                raise DomainError(bad)
+            for count in row:
+                _require_count(count, 0, bad)
             if sum(row) != trials:
                 raise DomainError(f"counts {row!r} do not sum to {trials}")
         object.__setattr__(self, "counts", counts)
@@ -363,25 +384,17 @@ def _segment_index(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _tally_pair(
     rng: np.random.Generator, trials: int, weights: np.ndarray,
-    first: np.ndarray, second: np.ndarray, mixture: bool,
+    first: np.ndarray, second: np.ndarray,
 ) -> tuple[int, int, int, int]:
     """One setting pair's counts in OUTCOME_ORDER. first and second hold,
-    per component, its outcomes of the pair's two observables or, per
-    segment, their P(+1 | segment)."""
+    per component, its outcomes of the pair's two observables."""
     import numpy as np
 
-    # lambda (one uniform per trial) selects the component or segment.
+    # lambda (one uniform per trial) selects the component.
     index = _segment_index(rng.random(trials), weights)
-    if mixture:
-        # Each component's OUTCOME_ORDER cell: (+,+), (+,-), (-,+), (-,-).
-        cells = 2 * (first < 0) + (second < 0)
-        return tuple(int(c) for c in np.bincount(cells[index], minlength=4))
-    # An outcome is -1 where its uniform draw reaches P(+1 | segment).
-    minus1 = rng.random(trials) >= first.take(index)
-    minus2 = rng.random(trials) >= second.take(index)
-    n1, n2 = int(np.count_nonzero(minus1)), int(np.count_nonzero(minus2))
-    both = int(np.count_nonzero(minus1 & minus2))
-    return (trials - n1 - n2 + both, n2 - both, n1 - both, both)
+    # Each component's OUTCOME_ORDER cell: (+,+), (+,-), (-,+), (-,-).
+    cells = 2 * (first < 0) + (second < 0)
+    return tuple(int(c) for c in np.bincount(cells[index], minlength=4))
 
 
 def simulate(
@@ -392,33 +405,25 @@ def simulate(
 ) -> TrialTally:
     """Run trials_per_pair seeded trials for each of the four setting pairs.
 
-    Each trial draws one hidden state and produces both outcomes from
-    it. The pairs run in PAIR_ORDER, each on its own (seed, pair index)
-    substream, so reruns with the same seed give identical tallies.
-    workers is accepted and ignored: sampling is serial, and the
-    benchmark's local-models workload still passes workers=1.
+    Each trial draws one assignment from the strategy's assignment
+    mixture and reads both outcomes from it. The pairs run in PAIR_ORDER,
+    each on its own (seed, pair index) substream, so reruns with the same
+    seed give identical tallies. workers is accepted and ignored: sampling
+    is serial, and the benchmark's local-models workload still passes it.
     """
     trials = _require_count(trials_per_pair, 1, "trials_per_pair must be a positive integer")
     if trials > MAX_TRIALS:
         raise DomainError(f"{trials} trials per pair exceed the limit of {MAX_TRIALS}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(strategy, (MixtureStrategy, StochasticStrategy)):
-        raise DomainError(f"unknown strategy type: {type(strategy).__name__}")
+    _require_count(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
+    components = _assignment_mixture(strategy)
     import numpy as np
 
-    mixture = isinstance(strategy, MixtureStrategy)
-    if mixture:
-        weights = np.array([float(w) for w, _ in strategy.components])
-        # One (a1, a2, b1, b2) outcome row per component.
-        rows = np.array([(a.a1, a.a2, a.b1, a.b2) for _, a in strategy.components])
-    else:
-        weights = np.array(strategy.segment_masses)
-        # One (p11, p12, p21, p22) row of P(+1 | segment) per segment.
-        rows = np.array(strategy.responses)
+    weights = np.array([float(w) for w, _ in components])
     weights = weights / weights.sum()
+    # One (a1, a2, b1, b2) outcome row per component.
+    rows = np.array([(a.a1, a.a2, a.b1, a.b2) for _, a in components])
     counts = tuple(
-        _tally_pair(_pair_rng(seed, i), trials, weights, rows[:, k - 1], rows[:, 1 + l], mixture)
+        _tally_pair(_pair_rng(seed, i), trials, weights, rows[:, k - 1], rows[:, 1 + l])
         for i, (k, l) in enumerate(PAIR_ORDER)
     )
     return TrialTally(trials_per_pair=trials, counts=counts)
@@ -454,11 +459,15 @@ def is_locally_realizable(e11, e12, e21, e22) -> bool:
     By Fine's theorem (A. Fine, PRL 48, 291 (1982)) the local
     correlation polytope has exactly 16 facets: the 8 bounds
     |e_kl| <= 1 and the 8 CHSH inequalities |S - 2 e_kl| <= 2, with
-    S = e11 + e12 + e21 + e22. Floats are converted to Fractions
-    exactly, so there is no tolerance anywhere.
+    S = e11 + e12 + e21 + e22. Correlations must be numbers.Real (strings
+    are refused) and become Fractions exactly, so there is no tolerance.
     """
+    values = (e11, e12, e21, e22)
     try:
-        target = [Fraction(v) for v in (e11, e12, e21, e22)]
+        # A float or int skips the slower abstract-class check of numbers.Real.
+        if not all(isinstance(v, (float, int)) or isinstance(v, numbers.Real) for v in values):
+            raise TypeError("not a real number")
+        target = [Fraction(v) for v in values]
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError("correlations must be finite real numbers") from exc
     total = sum(target)
@@ -535,23 +544,13 @@ def strategy_from_text(text: str) -> LhvStrategy:
         try:
             breakpoints = _parse_number_list("breakpoints", entries.pop("breakpoints"))
             densities = _parse_number_list("density", entries.pop("density"))
+            keys = [f"response_{index}" for index in range(1, len(breakpoints))]
+            responses = [_parse_number_list(key, entries.pop(key)) for key in keys]
         except KeyError as exc:
             raise DomainError(f"missing {exc.args[0]!r} key") from None
-        segments = len(breakpoints) - 1
-        responses = []
-        for index in range(1, segments + 1):
-            key = f"response_{index}"
-            if key not in entries:
-                raise DomainError(f"missing {key!r} key")
-            row = _parse_number_list(key, entries.pop(key))
-            responses.append(tuple(row))
         if entries:
             raise DomainError(f"unknown keys: {', '.join(sorted(entries))}")
-        return StochasticStrategy(
-            breakpoints=tuple(breakpoints),
-            densities=tuple(densities),
-            responses=tuple(responses),
-        )
+        return StochasticStrategy(breakpoints, densities, responses)
 
     raise DomainError(f"unknown strategy type {kind!r}")
 

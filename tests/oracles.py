@@ -6,9 +6,11 @@ eigenvectors, and square the inner product. No trigonometric closed
 forms are shared with the package, so agreement is meaningful. The
 local polytope is described here by its vertices, while the package
 tests its facets. The CHSH maximum is located here in Decimal
-arithmetic with square roots only. LHV trials are sampled here one
-binary search per draw, where the package looks draws up in a table.
-Nothing here imports hardylab.
+arithmetic with square roots only. A piecewise LHV model's assignment
+weights are summed here one segment at a time in plain Python, and
+trials are sampled one binary search per draw, where the package
+multiplies segment arrays and looks draws up in a table. Nothing here
+imports hardylab.
 """
 
 from __future__ import annotations
@@ -153,35 +155,46 @@ def _reference_segments(draws, weights):
     return np.minimum(np.searchsorted(np.cumsum(weights), draws, side="right"), len(weights) - 1)
 
 
+def reference_assignment_weights(strategy):
+    """The weight a piecewise model puts on each deterministic assignment.
+
+    Assignments are sign tuples (a1, a2, b1, b2), +1 before -1 and a1
+    slowest. Each segment adds its mass times the probability, under its
+    response row, of the four predetermined outcomes, one segment and one
+    assignment at a time.
+    """
+    weights = [0.0] * 16
+    points = strategy.breakpoints
+    for density, lo, hi, row in zip(strategy.densities, points, points[1:], strategy.responses):
+        mass = density * (hi - lo)
+        for index, signs in enumerate(product((1, -1), repeat=4)):
+            weight = mass
+            for p_plus, sign in zip(row, signs):
+                weight *= p_plus if sign == 1 else 1.0 - p_plus
+            weights[index] += weight
+    return weights
+
+
 def reference_tally(strategy, trials, seed):
     """Per-trial seeded counts of a strategy, in (pair, outcome) order.
 
-    Reads only the strategy's public data (mixture components, or
-    breakpoints, densities and response rows), and samples each pair
-    on its own SeedSequence(seed, spawn_key=(pair_index,)) stream: one
-    uniform per trial picks the component or segment, then, for a
-    segment, one uniform per particle decides its outcome.
+    Reads only the strategy's public data: its mixture components, or the
+    assignment weights its breakpoints, densities and response rows
+    induce (those of weight 0 left out). Each pair is sampled on its own
+    SeedSequence(seed, spawn_key=(pair_index,)) stream, one uniform per
+    trial picking the assignment.
     """
+    if hasattr(strategy, "components"):
+        components = [(float(w), (a.a1, a.a2, a.b1, a.b2)) for w, a in strategy.components]
+    else:
+        weights = reference_assignment_weights(strategy)
+        components = [(w, signs) for w, signs in zip(weights, product((1, -1), repeat=4)) if w > 0]
+    weights = np.array([w for w, _ in components])
     rows = []
     for index, (k, l) in enumerate(PAIRS):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        if hasattr(strategy, "components"):
-            weights = np.array([float(w) for w, _ in strategy.components])
-            outcomes = [
-                ((a.a1, a.a2)[k - 1], (a.b1, a.b2)[l - 1]) for _, a in strategy.components
-            ]
-            cells = np.array([OUTCOMES.index(pair) for pair in outcomes])
-            cell = cells[_reference_segments(rng.random(trials), weights)]
-        else:
-            points = strategy.breakpoints
-            masses = np.array(
-                [d * (c - b) for d, b, c in zip(strategy.densities, points, points[1:])]
-            )
-            segment = _reference_segments(rng.random(trials), masses)
-            responses = np.array(strategy.responses)
-            plus1 = rng.random(trials) < responses[segment, k - 1]
-            plus2 = rng.random(trials) < responses[segment, 2 + l - 1]
-            cell = np.where(plus1, 0, 2) + np.where(plus2, 0, 1)
+        cells = np.array([OUTCOMES.index((signs[k - 1], signs[1 + l])) for _, signs in components])
+        cell = cells[_reference_segments(rng.random(trials), weights)]
         rows.append(tuple(int(c) for c in np.bincount(cell, minlength=4)))
     return tuple(rows)
 

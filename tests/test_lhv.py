@@ -28,6 +28,7 @@ from hardylab.qstate import DomainError
 from oracles import (
     CORRELATION_VERTICES,
     random_local_mixture,
+    reference_assignment_weights,
     reference_tally,
     vertex_hull_membership,
 )
@@ -247,6 +248,15 @@ class TestStochasticStrategy:
             -1.0, abs=1e-15
         )
 
+    def test_induced_mixture_leaves_out_impossible_assignments(self):
+        # Each segment answers deterministically, so it is one assignment;
+        # the other 14 have weight exactly 0 and must not be drawable.
+        assert lhv._assignment_mixture(self._two_segment()) == (
+            (0.5, DeterministicAssignment(1, -1, 1, -1)),
+            (0.5, DeterministicAssignment(-1, 1, -1, 1)),
+        )
+        assert lhv._assignment_mixture(ANTICORRELATED) is ANTICORRELATED.components
+
     def test_hand_integral_tells_the_particles_apart(self):
         strategy = StochasticStrategy(
             breakpoints=(0.0, 0.5, 1.0),
@@ -421,6 +431,8 @@ class TestTrialTally:
             TrialTally(trials_per_pair=2, counts=((1, 0, 0, 0),) * 4)
         with pytest.raises(DomainError, match="bad count row"):
             TrialTally(trials_per_pair=1, counts=((1, 0, 0, 0),) * 3 + ((2, -1, 0, 0),))
+        with pytest.raises(DomainError, match="bad count row"):
+            TrialTally(trials_per_pair=2, counts=((True, True, 0, 0),) * 4)
 
 
 class TestSimulate:
@@ -500,7 +512,7 @@ class TestSimulate:
         with pytest.raises(DomainError, match="51 trials per pair exceed the limit of 50"):
             simulate(strategy, 51, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", None, True, False])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             simulate(ANTICORRELATED, 10, seed=seed)
@@ -580,7 +592,9 @@ class TestTableSampler:
             strategy, 250_000, seed
         )
 
-    # Tallies taken from the per-trial sampler the table replaced.
+    # The mixture tally was taken from the per-trial sampler the table
+    # replaced; the stochastic one from sampling the model's assignment
+    # mixture, when that replaced drawing a segment and then each outcome.
     GOLDEN = (
         (
             MixtureStrategy(
@@ -612,10 +626,10 @@ class TestTableSampler:
             ),
             7,
             (
-                (99819, 37543, 49877, 62761),
-                (49140, 88823, 63534, 48503),
-                (44858, 55187, 105394, 44561),
-                (56359, 43705, 56549, 93387),
+                (99558, 37496, 50238, 62708),
+                (49195, 88689, 63612, 48504),
+                (45151, 54830, 105028, 44991),
+                (55992, 43701, 56506, 93801),
             ),
         ),
     )
@@ -624,6 +638,16 @@ class TestTableSampler:
     def test_golden_tallies(self, strategy, seed, counts):
         assert simulate(strategy, 250_000, seed).counts == counts
         assert reference_tally(strategy, 250_000, seed) == counts
+
+    @pytest.mark.parametrize(
+        "name", [n for n, s in SAMPLER_STRATEGIES.items() if isinstance(s, StochasticStrategy)]
+    )
+    def test_assignment_weights_match_reference(self, name):
+        strategy = SAMPLER_STRATEGIES[name]
+        weights = {a: w for w, a in lhv._assignment_mixture(strategy)}
+        got = [weights.get(a, 0.0) for a in ALL_ASSIGNMENTS]
+        assert got == pytest.approx(reference_assignment_weights(strategy), abs=1e-15, rel=0)
+        assert math.fsum(got) == pytest.approx(1.0, abs=1e-14)
 
     @given(
         weights=segment_weights,
@@ -714,7 +738,7 @@ class TestLocalPolytope:
         assert not is_locally_realizable(1.5, 0, 0, 0)
 
     def test_rejects_non_numbers(self):
-        for bad in ("a", math.inf, -math.inf, math.nan):
+        for bad in ("a", "1", "1/2", math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match="real numbers"):
                 is_locally_realizable(bad, 0, 0, 0)
 
