@@ -18,7 +18,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from . import __version__
@@ -341,7 +340,7 @@ def _open_output(path: str) -> TextIO:
 def _cmd_scan(args: argparse.Namespace) -> int:
     from . import scan_surface
 
-    outputs = tuple(p for p in (args.out, args.svg) if p)
+    outputs = tuple(p for p in (args.out, args.svg) if p is not None)
     manifest = RunManifest(
         "scan",
         parameters=(
@@ -351,13 +350,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         output_paths=outputs,
     )
     grid = scan_surface(args.c1sq_steps, args.beta0_steps)
-    if args.out:
+    if args.out is not None:
         with _open_output(args.out) as stream:
             _write_csv(grid, manifest, stream)
-    if args.svg:
+    if args.svg is not None:
         with _open_output(args.svg) as stream:
             _write_svg(grid, manifest, stream)
-    if args.out or args.svg:
+    if outputs:
         _print_manifest(manifest)
         mx, mb, md = grid.max_cell()
         print(f"cells = {grid.shape[0] * grid.shape[1]}")
@@ -408,7 +407,8 @@ def _cmd_lhv_sim(args: argparse.Namespace) -> int:
     from . import simulate, strategy_from_text
 
     try:
-        text = Path(args.strategy).read_text(encoding="utf-8")
+        with open(args.strategy, encoding="utf-8") as handle:
+            text = handle.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in the path
         raise DomainError(f"cannot read strategy file: {exc}") from None
     strategy = strategy_from_text(text)
@@ -533,12 +533,12 @@ def inequality_margin(values) -> Decimal:
 
 
 def _cmd_inequality(args: argparse.Namespace) -> int:
-    if args.config and args.values:
+    if args.config is not None and args.values:
         raise DomainError("pass either --config or --values, not both")
     if args.errors and not args.values:
         raise DomainError("--errors requires --values")
 
-    if args.config:
+    if args.config is not None:
         from . import hardy_inequality_lhs_rhs
 
         config = config_from_file(args.config)

@@ -11,11 +11,13 @@ the factorized form
 Two representations are provided: a finite mixture of deterministic
 outcome assignments (the extreme points), and a piecewise-constant
 density on the unit interval with per-segment response probabilities.
-By Fine's theorem the second induces a mixture over the 16 assignments;
-both are integrated and sampled through that one mixture form. Every
-assignment has CHSH value exactly 2, so every local model obeys
-Delta <= 2; exact (Fraction) mixture weights stay exact end to end so
-that bound can be tested without tolerance.
+By Fine's theorem the second induces a mixture over the 16 assignments.
+Per setting pair, summing that one mixture form into the four outcome
+cells gives the exact joint probabilities, and simulate samples those
+four cells directly, one uniform per trial. Every assignment has CHSH
+value exactly 2, so every local model obeys Delta <= 2; exact
+(Fraction) mixture weights stay exact end to end so that bound can be
+tested without tolerance.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Union
 
 from .qstate import BOUNDARY_TOL, OUTCOME_ORDER, PAIR_ORDER, ROUNDING_TOL, DomainError
-from .qstate import _key_value_lines, _require_count, _require_finite, _require_tolerance
+from .qstate import _is_real, _key_value_lines, _require_count, _require_finite, _require_tolerance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,14 +73,11 @@ def _observable_index(particle: int, setting: int) -> int:
 # integer), and any weight past this bound is far outside the float range.
 _MAX_WEIGHT_EXPONENT = 1000
 
-# Largest trials_per_pair simulate accepts. A run peaks at about 24
-# bytes per trial (tracemalloc, 10**6 trials, stochastic or mixture), so
-# one at the cap takes about 240 MB and one second; the cap stays the
-# documented lhv-sim limit rather than growing with the memory freed.
+# Largest trials_per_pair simulate accepts. A run peaks at about 16
+# bytes per trial (tracemalloc, 10**6 trials, stochastic or mixture): at
+# the cap, 160 MB and 0.3 s. The cap stays the documented lhv-sim limit
+# rather than growing with the memory freed.
 MAX_TRIALS = 10**7
-
-# The segment lookup's table has at least 2**10 bins (8 KiB).
-_MIN_TABLE_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -211,6 +211,30 @@ class StochasticStrategy:
         if abs(mass - 1.0) > BOUNDARY_TOL:
             raise DomainError(f"density integrates to {mass!r}, expected 1")
 
+    def __getstate__(self) -> dict:
+        # The fields only: the mixture cached on the instance is derived
+        # from them and must not change the pickled bytes.
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    @cached_property
+    def _components(self) -> tuple:
+        """The (weight, assignment) mixture over ALL_ASSIGNMENTS that this
+        model induces, built at first use: the float weight w(a) = sum over
+        segments of mass * prod over D_ij of P(D_ij = a_ij | segment)."""
+        import numpy as np
+
+        n = len(self.densities)
+        points = np.fromiter(self.breakpoints, float, n + 1)
+        mass = np.fromiter(self.densities, float, n) * np.diff(points)
+        # P(+1 | segment) of D11, D12, D21, D22, one contiguous row each.
+        plus = np.fromiter(chain.from_iterable(self.responses), float, 4 * n).reshape(n, 4).T.copy()
+        # both[obs] holds P(+1 | segment) and P(-1 | segment) of one observable.
+        both = np.stack([plus, 1.0 - plus], axis=1)
+        # Rows over (a1, a2) and over (b1, b2), +1 first: ALL_ASSIGNMENTS order.
+        first = ((mass * both[0])[:, None] * both[1]).reshape(4, n)
+        second = (both[2][:, None] * both[3]).reshape(4, n)
+        return tuple(zip((first @ second.T).ravel().tolist(), ALL_ASSIGNMENTS))
+
     @property
     def segment_masses(self) -> tuple[float, ...]:
         return tuple(
@@ -244,31 +268,24 @@ def _check_outcomes(outcomes: tuple[int, int]) -> tuple[int, int]:
 
 
 def _assignment_mixture(strategy: LhvStrategy) -> tuple:
-    """A strategy's (weight, assignment) components.
-
-    A mixture's own are returned untouched. A stochastic model gives the
-    float weight w(a) = sum over segments of mass * prod over D_ij of
-    P(D_ij = a_ij | segment) on each of ALL_ASSIGNMENTS, leaving out those
-    of weight exactly 0 so that no rounded cumulative weight draws one.
-    """
+    """A strategy's (weight, assignment) components: a mixture's own,
+    untouched, or the ones a stochastic model induces."""
     if isinstance(strategy, MixtureStrategy):
         return strategy.components
-    if not isinstance(strategy, StochasticStrategy):
-        raise DomainError(f"unknown strategy type: {type(strategy).__name__}")
-    import numpy as np
+    if isinstance(strategy, StochasticStrategy):
+        return strategy._components
+    raise DomainError(f"unknown strategy type: {type(strategy).__name__}")
 
-    n = len(strategy.densities)
-    points = np.fromiter(strategy.breakpoints, float, n + 1)
-    mass = np.fromiter(strategy.densities, float, n) * np.diff(points)
-    # P(+1 | segment) of D11, D12, D21, D22, one contiguous row each.
-    plus = np.fromiter(chain.from_iterable(strategy.responses), float, 4 * n).reshape(n, 4).T.copy()
-    # both[obs] holds P(+1 | segment) and P(-1 | segment) of one observable.
-    both = np.stack([plus, 1.0 - plus], axis=1)
-    # Rows over (a1, a2) and over (b1, b2), +1 first: ALL_ASSIGNMENTS order.
-    first = ((mass * both[0])[:, None] * both[1]).reshape(4, n)
-    second = (both[2][:, None] * both[3]).reshape(4, n)
-    weights = (first @ second.T).ravel().tolist()
-    return tuple((w, a) for w, a in zip(weights, ALL_ASSIGNMENTS) if w != 0.0)
+
+def _cell_weights(components: tuple, pair: tuple[int, int]) -> list:
+    """The weights of a setting pair's four OUTCOME_ORDER cells: each
+    component's weight added to the cell its assignment gives the pair,
+    in the weights' own arithmetic and in component order."""
+    first, second = ("a1", "a2")[pair[0] - 1], ("b1", "b2")[pair[1] - 1]
+    cells = [0, 0, 0, 0]
+    for weight, assignment in components:
+        cells[2 * (getattr(assignment, first) < 0) + (getattr(assignment, second) < 0)] += weight
+    return cells
 
 
 def lhv_joint_probability(
@@ -283,13 +300,9 @@ def lhv_joint_probability(
     stochastic model the exact integral of its piecewise-constant
     density, up to float rounding.
     """
-    k, l = _check_pair(setting_pair)
-    m, n = _check_outcomes(outcomes)
-    return sum(
-        weight
-        for weight, assignment in _assignment_mixture(strategy)
-        if assignment.outcome(1, k) == m and assignment.outcome(2, l) == n
-    )
+    pair = _check_pair(setting_pair)
+    cell = OUTCOME_ORDER.index(_check_outcomes(outcomes))
+    return _cell_weights(_assignment_mixture(strategy), pair)[cell]
 
 
 @dataclass(frozen=True)
@@ -357,46 +370,6 @@ def _pair_rng(seed: int, pair_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pair_index,)))
 
 
-def _segment_index(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Segment of each draw u in [0, 1) under normalized weights, that is
-    np.searchsorted(np.cumsum(weights)[:-1], u, side="right") bit for bit.
-
-    A table over 2**m equal bins of [0, 1) holds the segment at each
-    bin's left edge, or -1 where a bound lies strictly inside the bin;
-    u * 2**m is exact, so its truncation is the draw's bin, and only
-    draws in -1 bins are searched. With more than b log2(b) bins for b
-    bounds, a draw takes less than one binary-search step on average.
-    """
-    import numpy as np
-
-    bounds = np.cumsum(weights)[:-1]
-    bins = 1 << max(_MIN_TABLE_BITS, (len(bounds) * len(bounds).bit_length()).bit_length())
-    if bins > len(u):
-        return np.searchsorted(bounds, u, side="right")
-    table = np.searchsorted(bounds, np.arange(bins) / bins, side="right")
-    inner = bounds[bounds < 1.0] * bins
-    table[inner[inner != np.floor(inner)].astype(np.intp)] = -1
-    index = table.take((u * bins).astype(np.intp))
-    split = np.flatnonzero(index < 0)
-    index[split] = np.searchsorted(bounds, u[split], side="right")
-    return index
-
-
-def _tally_pair(
-    rng: np.random.Generator, trials: int, weights: np.ndarray,
-    first: np.ndarray, second: np.ndarray,
-) -> tuple[int, int, int, int]:
-    """One setting pair's counts in OUTCOME_ORDER. first and second hold,
-    per component, its outcomes of the pair's two observables."""
-    import numpy as np
-
-    # lambda (one uniform per trial) selects the component.
-    index = _segment_index(rng.random(trials), weights)
-    # Each component's OUTCOME_ORDER cell: (+,+), (+,-), (-,+), (-,-).
-    cells = 2 * (first < 0) + (second < 0)
-    return tuple(int(c) for c in np.bincount(cells[index], minlength=4))
-
-
 def simulate(
     strategy: LhvStrategy,
     trials_per_pair: int,
@@ -405,11 +378,12 @@ def simulate(
 ) -> TrialTally:
     """Run trials_per_pair seeded trials for each of the four setting pairs.
 
-    Each trial draws one assignment from the strategy's assignment
-    mixture and reads both outcomes from it. The pairs run in PAIR_ORDER,
-    each on its own (seed, pair index) substream, so reruns with the same
-    seed give identical tallies. workers is accepted and ignored: sampling
-    is serial, and the benchmark's local-models workload still passes it.
+    Each pair's four outcome cells are sampled with their exact weights
+    (those lhv_joint_probability reports), one uniform per trial. The
+    pairs run in PAIR_ORDER, each on its own (seed, pair index)
+    substream, so reruns with the same seed give identical tallies.
+    workers is accepted and ignored: sampling is serial, and the
+    benchmark's local-models workload still passes it.
     """
     trials = _require_count(trials_per_pair, 1, "trials_per_pair must be a positive integer")
     if trials > MAX_TRIALS:
@@ -418,15 +392,16 @@ def simulate(
     components = _assignment_mixture(strategy)
     import numpy as np
 
-    weights = np.array([float(w) for w, _ in components])
-    weights = weights / weights.sum()
-    # One (a1, a2, b1, b2) outcome row per component.
-    rows = np.array([(a.a1, a.a2, a.b1, a.b2) for _, a in components])
-    counts = tuple(
-        _tally_pair(_pair_rng(seed, i), trials, weights, rows[:, k - 1], rows[:, 1 + l])
-        for i, (k, l) in enumerate(PAIR_ORDER)
-    )
-    return TrialTally(trials_per_pair=trials, counts=counts)
+    counts = []
+    for i, pair in enumerate(PAIR_ORDER):
+        *sums, total = accumulate(_cell_weights(components, pair))
+        u = _pair_rng(seed, i).random(trials)
+        # Cell j takes the draws in [c_(j-1), c_j) / c_4, c_0 = 0: a cell
+        # of zero weight repeats a bound (after a trailing one it is
+        # exactly 1.0), so it takes none.
+        above = [trials, *(int(np.count_nonzero(u >= float(c / total))) for c in sums), 0]
+        counts.append(tuple(a - b for a, b in zip(above, above[1:])))
+    return TrialTally(trials_per_pair=trials, counts=tuple(counts))
 
 
 def local_realism_forcing(e11: float, e12: float, e21: float, tol: float = BOUNDARY_TOL) -> int:
@@ -464,8 +439,7 @@ def is_locally_realizable(e11, e12, e21, e22) -> bool:
     """
     values = (e11, e12, e21, e22)
     try:
-        # A float or int skips the slower abstract-class check of numbers.Real.
-        if not all(isinstance(v, (float, int)) or isinstance(v, numbers.Real) for v in values):
+        if not all(map(_is_real, values)):
             raise TypeError("not a real number")
         target = [Fraction(v) for v in values]
     except (TypeError, ValueError, ArithmeticError) as exc:

@@ -93,11 +93,21 @@ class HardyVariant(Enum):
         }[self]
 
 
+def _is_real(value) -> bool:
+    """Whether value is a numbers.Real: numpy scalars are, strings, bytes
+    and Decimals are not. A float or int skips the slower abstract check."""
+    return isinstance(value, (float, int)) or isinstance(value, numbers.Real)
+
+
 def _require_real(name: str, value: float) -> float:
+    if type(value) is float:  # the common case, first for speed
+        return value
+    if not _is_real(value):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got a number beyond the float range") from None
 
 
 def _require_finite(name: str, value: float) -> float:

@@ -7,17 +7,17 @@ forms are shared with the package, so agreement is meaningful. The
 local polytope is described here by its vertices, while the package
 tests its facets. The CHSH maximum is located here in Decimal
 arithmetic with square roots only. A piecewise LHV model's assignment
-weights are summed here one segment at a time in plain Python, and
-trials are sampled one binary search per draw, where the package
-multiplies segment arrays and looks draws up in a table. Nothing here
-imports hardylab.
+weights are summed here one segment at a time in plain Python, and each
+trial's outcome cell is found by its own binary search, where the
+package multiplies segment arrays and counts the draws past each cell
+bound. Nothing here imports hardylab.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -149,12 +149,6 @@ def random_local_mixture(rng: np.random.Generator):
 PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def _reference_segments(draws, weights):
-    """Segment of each draw: the first cumulative weight above it."""
-    weights = weights / weights.sum()
-    return np.minimum(np.searchsorted(np.cumsum(weights), draws, side="right"), len(weights) - 1)
-
-
 def reference_assignment_weights(strategy):
     """The weight a piecewise model puts on each deterministic assignment.
 
@@ -180,21 +174,26 @@ def reference_tally(strategy, trials, seed):
 
     Reads only the strategy's public data: its mixture components, or the
     assignment weights its breakpoints, densities and response rows
-    induce (those of weight 0 left out). Each pair is sampled on its own
-    SeedSequence(seed, spawn_key=(pair_index,)) stream, one uniform per
-    trial picking the assignment.
+    induce, in product((1, -1), repeat=4) order. Per pair, the weights
+    are summed into the four outcome cells in their own arithmetic, and
+    one uniform per trial, on the pair's own
+    SeedSequence(seed, spawn_key=(pair_index,)) stream, picks the cell
+    whose interval of the normalized running sums holds it.
     """
     if hasattr(strategy, "components"):
-        components = [(float(w), (a.a1, a.a2, a.b1, a.b2)) for w, a in strategy.components]
+        components = [(w, (a.a1, a.a2, a.b1, a.b2)) for w, a in strategy.components]
     else:
         weights = reference_assignment_weights(strategy)
-        components = [(w, signs) for w, signs in zip(weights, product((1, -1), repeat=4)) if w > 0]
-    weights = np.array([w for w, _ in components])
+        components = list(zip(weights, product((1, -1), repeat=4)))
     rows = []
     for index, (k, l) in enumerate(PAIRS):
+        cells = [0] * 4
+        for weight, signs in components:
+            cells[OUTCOMES.index((signs[k - 1], signs[1 + l]))] += weight
+        running = list(accumulate(cells))
+        bounds = np.array([float(c / running[-1]) for c in running[:-1]])
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        cells = np.array([OUTCOMES.index((signs[k - 1], signs[1 + l])) for _, signs in components])
-        cell = cells[_reference_segments(rng.random(trials), weights)]
+        cell = np.searchsorted(bounds, rng.random(trials), side="right")
         rows.append(tuple(int(c) for c in np.bincount(cell, minlength=4)))
     return tuple(rows)
 

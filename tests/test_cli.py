@@ -569,6 +569,71 @@ class TestNumberArgv:
         assert_exit_contract(*run_quietly(argv))
 
 
+# Every path flag, with the arguments that keep its run small and the
+# name of a file it accepts.
+PATH_FLAGS = (
+    (["probs"], ("--config",), "solved.cfg"),
+    (["correlation"], ("--config",), "solved.cfg"),
+    (["hardy-check"], ("--config",), "solved.cfg"),
+    (["inequality"], ("--config",), "solved.cfg"),
+    (["lhv-sim", "--trials", "10"], ("--strategy",), "mixture.lhv"),
+    (["scan", "--c1sq-steps", "3", "--beta0-steps", "3"], ("--out", "--svg"), "grid.out"),
+)
+PATH_KINDS = ("empty", "dot", "directory", "missing", "nul", "valid")
+
+
+@pytest.fixture(scope="class")
+def path_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("paths")
+    (folder / "solved.cfg").write_text(
+        "c1_squared = 0.25\nbeta_11_deg = 60\nbeta_12_deg = 30\n"
+        "beta_21_deg = -45\nbeta_22_deg = -18.43494882292201\n",
+        encoding="utf-8",
+    )
+    (folder / "mixture.lhv").write_text(ANTICORRELATED_TEXT, encoding="utf-8")
+    return folder
+
+
+class TestPathArgv:
+    """Any path token on any path flag: a result, one `error:` line, or a
+    usage error."""
+
+    @given(command=st.sampled_from(PATH_FLAGS), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_codes(self, path_folder, command, data):
+        prefix, flags, valid = command
+        tokens = {
+            "empty": "",
+            "dot": ".",
+            "directory": str(path_folder),
+            "missing": str(path_folder / "missing" / "file"),
+            "nul": "a\x00b",
+            "valid": str(path_folder / valid),
+        }
+        argv = list(prefix)
+        for flag in flags:
+            kind = data.draw(st.one_of(st.none(), st.sampled_from(PATH_KINDS)), label=flag)
+            if kind is not None:
+                argv += [flag, tokens[kind]]
+        assert_exit_contract(*run_quietly(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inequality", "--config", ""],
+            ["scan", "--c1sq-steps", "3", "--beta0-steps", "3", "--out", ""],
+            ["scan", "--c1sq-steps", "3", "--beta0-steps", "3", "--svg", ""],
+            ["lhv-sim", "--strategy", ""],
+        ],
+        ids=["inequality-config", "scan-out", "scan-svg", "lhv-sim-strategy"],
+    )
+    def test_empty_path_is_a_missing_file(self, capsys, argv):
+        expected = run_cli(capsys, "probs", "--config", "")
+        assert expected == (1, "", "error: [Errno 2] No such file or directory: ''\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.replace("cannot read strategy file: ", "")) == expected
+
+
 class TestOptimize:
     def test_defaults(self, capsys):
         code, out, err = run_cli(capsys, "optimize")

@@ -3,6 +3,7 @@ maximal-entanglement obstruction."""
 
 import dataclasses
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,7 +78,7 @@ class TestSolveErrors:
         with pytest.raises(DomainError):
             solve_hardy(make_state(0.3), float("nan"))
 
-    @pytest.mark.parametrize("beta0", ["x", None, 1j])
+    @pytest.mark.parametrize("beta0", ["x", None, 1j, "40", b"1", Decimal("40")])
     def test_non_numeric_beta0(self, beta0):
         with pytest.raises(DomainError, match="beta0 must be a real number"):
             solve_hardy(make_state(0.3), beta0)
@@ -91,6 +92,11 @@ class TestVanishingCondition:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             solve_vanishing_condition(float("inf"))
+
+    @pytest.mark.parametrize("ratio", ["2", b"2", Decimal("2")], ids=["str", "bytes", "decimal"])
+    def test_rejects_non_real(self, ratio):
+        with pytest.raises(DomainError, match="ratio must be a real number"):
+            solve_vanishing_condition(ratio)
 
     @given(
         c1_squared=partial_c1sq, s1=signs, s2=signs,

@@ -2,11 +2,13 @@
 the forcing argument, polytope membership, and strategy-file parsing."""
 
 import math
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import lhv
@@ -248,13 +250,13 @@ class TestStochasticStrategy:
             -1.0, abs=1e-15
         )
 
-    def test_induced_mixture_leaves_out_impossible_assignments(self):
-        # Each segment answers deterministically, so it is one assignment;
-        # the other 14 have weight exactly 0 and must not be drawable.
-        assert lhv._assignment_mixture(self._two_segment()) == (
-            (0.5, DeterministicAssignment(1, -1, 1, -1)),
-            (0.5, DeterministicAssignment(-1, 1, -1, 1)),
-        )
+    def test_induced_mixture_is_built_once(self):
+        strategy = self._two_segment()
+        before = pickle.dumps(strategy)
+        mixture = lhv._assignment_mixture(strategy)
+        assert lhv._assignment_mixture(strategy) is mixture
+        assert pickle.dumps(strategy) == before
+        assert pickle.loads(before) == strategy
         assert lhv._assignment_mixture(ANTICORRELATED) is ANTICORRELATED.components
 
     def test_hand_integral_tells_the_particles_apart(self):
@@ -519,7 +521,9 @@ class TestSimulate:
 
 
 def _sampler_strategies():
-    """Strategies that reach every branch of the sampler's table lookup."""
+    """Mixtures of 1 to 16 assignments, some weights zero, and stochastic
+    models of 1 to 5000 segments, one with a zero-density segment and one
+    with exact dyadic masses."""
     rng = np.random.default_rng(20261018)
     out = {}
     for size in range(1, 17):
@@ -545,7 +549,7 @@ def _sampler_strategies():
     out["zero_density"] = stochastic(np.sort(rng.random(7)), masses / masses.sum())
     # Breakpoints on multiples of 1/4096, in 20 pairs of equal width with
     # densities (0, 2), (0.5, 1.5) or (1, 1): every mass and cumulative
-    # mass is exact, and many of them fall on the lookup table's bin edges.
+    # mass is exact.
     cuts = np.sort(rng.choice(np.arange(1, 2048), size=19, replace=False))
     widths = np.repeat(np.diff(cuts, prepend=0, append=2048), 2) / 4096
     pairs = [(0.0, 2.0)] + [((0.0, 2.0), (0.5, 1.5), (1.0, 1.0))[i] for i in rng.integers(0, 3, 19)]
@@ -556,28 +560,29 @@ def _sampler_strategies():
 
 SAMPLER_STRATEGIES = _sampler_strategies()
 
-# Weights for a segment lookup: with zeros, a single weight, or many.
-segment_weights = st.one_of(
-    st.lists(
-        st.one_of(st.sampled_from([0.0, 1.0, 0.25, 1e-300]), st.floats(0.0, 1e3)),
-        min_size=1,
-        max_size=40,
-    ).map(np.array),
-    st.builds(
-        lambda count, seed, zeros: np.where(
-            np.random.default_rng(seed).random(count) < zeros,
-            0.0,
-            np.random.default_rng(seed + 1).random(count),
+# Mixtures with Fraction(0) weights, so that any of a pair's four cells
+# may be empty, and stochastic models whose 0/1 responses rule cells out.
+zero_weight_mixtures = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from(ALL_ASSIGNMENTS)), min_size=1, max_size=6
+).filter(lambda c: any(k for k, _ in c)).map(
+    lambda c: MixtureStrategy(
+        components=tuple((Fraction(k, sum(k for k, _ in c)), a) for k, a in c)
+    )
+)
+zero_one_stochastic = st.integers(1, 4).flatmap(
+    lambda n: st.builds(
+        lambda masses, rows: StochasticStrategy(
+            tuple(i / n for i in range(n + 1)), tuple(m * n / sum(masses) for m in masses), rows
         ),
-        st.integers(1, 3000),
-        st.integers(0, 2**32),
-        st.sampled_from([0.0, 0.1, 0.9]),
-    ),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+        st.lists(st.tuples(*[st.sampled_from([0.0, 1.0, 0.25])] * 4), min_size=n, max_size=n),
+    )
 )
 
 
 class TestTableSampler:
-    """simulate's table lookup gives the per-trial binary search's tallies."""
+    """simulate's four-cell sampler gives the per-trial binary search's
+    tallies."""
 
     @pytest.mark.parametrize("name", list(SAMPLER_STRATEGIES))
     def test_matches_per_trial_reference(self, name):
@@ -592,9 +597,8 @@ class TestTableSampler:
             strategy, 250_000, seed
         )
 
-    # The mixture tally was taken from the per-trial sampler the table
-    # replaced; the stochastic one from sampling the model's assignment
-    # mixture, when that replaced drawing a segment and then each outcome.
+    # Both tallies were taken from sampling each setting pair's four
+    # outcome cells directly, one uniform per trial.
     GOLDEN = (
         (
             MixtureStrategy(
@@ -610,8 +614,8 @@ class TestTableSampler:
             (
                 (0, 83172, 166828, 0),
                 (0, 83445, 41946, 124609),
-                (124945, 83389, 41666, 0),
-                (0, 208461, 41539, 0),
+                (125055, 83092, 41853, 0),
+                (0, 208262, 41738, 0),
             ),
         ),
         (
@@ -626,10 +630,10 @@ class TestTableSampler:
             ),
             7,
             (
-                (99558, 37496, 50238, 62708),
-                (49195, 88689, 63612, 48504),
-                (45151, 54830, 105028, 44991),
-                (55992, 43701, 56506, 93801),
+                (99483, 37571, 50345, 62601),
+                (49000, 88884, 63505, 48611),
+                (45055, 54920, 105123, 44902),
+                (56373, 43676, 55759, 94192),
             ),
         ),
     )
@@ -644,34 +648,37 @@ class TestTableSampler:
     )
     def test_assignment_weights_match_reference(self, name):
         strategy = SAMPLER_STRATEGIES[name]
-        weights = {a: w for w, a in lhv._assignment_mixture(strategy)}
-        got = [weights.get(a, 0.0) for a in ALL_ASSIGNMENTS]
+        mixture = lhv._assignment_mixture(strategy)
+        assert tuple(a for _, a in mixture) == ALL_ASSIGNMENTS
+        got = [w for w, _ in mixture]
         assert got == pytest.approx(reference_assignment_weights(strategy), abs=1e-15, rel=0)
         assert math.fsum(got) == pytest.approx(1.0, abs=1e-14)
 
     @given(
-        weights=segment_weights,
+        strategy=st.one_of(zero_weight_mixtures, zero_one_stochastic),
+        trials=st.integers(1, 10**5),
         seed=st.integers(0, 2**32),
-        edges=st.lists(st.tuples(st.integers(10, 20), st.integers(0, 2**20)), max_size=20),
-        pad=st.sampled_from([0, 1024, 1 << 17]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_segment_index_is_the_binary_search(self, weights, seed, edges, pad):
-        assume(weights.sum() > 0)
-        weights = weights / weights.sum()
-        bounds = np.cumsum(weights)[:-1]
-        near = np.concatenate([bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0)])
-        special = np.concatenate(
-            [
-                [0.0, np.nextafter(1.0, 0.0)],
-                [(k % (1 << m)) / (1 << m) for m, k in edges],
-                near[(near >= 0.0) & (near < 1.0)],
-            ]
-        )
-        rng = np.random.default_rng(seed)
-        u = rng.permutation(np.concatenate([special, rng.random(pad)]))
-        expected = np.searchsorted(bounds, u, side="right")
-        assert np.array_equal(lhv._segment_index(u, weights), expected)
+    @example(  # zero (1, 1) cells: leading, interior and trailing
+        strategy=MixtureStrategy(
+            components=(
+                (Fraction(0), DeterministicAssignment(1, 1, 1, 1)),
+                (Fraction(0), DeterministicAssignment(1, 1, -1, -1)),
+                (Fraction(1), DeterministicAssignment(-1, -1, 1, 1)),
+                (Fraction(0), DeterministicAssignment(-1, -1, -1, -1)),
+            )
+        ),
+        trials=10**5,
+        seed=0,
+    )
+    @example(strategy=TestStochasticStrategy._two_segment(), trials=10**5, seed=1)
+    def test_zero_cells_are_never_counted(self, strategy, trials, seed):
+        tally = simulate(strategy, trials, seed)
+        for pair in PAIR_ORDER:
+            for outcome in OUTCOME_ORDER:
+                if lhv_joint_probability(strategy, pair, outcome) == 0:
+                    assert tally.count(pair, outcome) == 0
 
 
 class TestLocalRealismForcing:
@@ -706,6 +713,10 @@ class TestLocalRealismForcing:
             ((1.0, 1.0, 1.0), {"tol": math.inf}, "tol must be finite"),
             ((1.0, 1.0, 1.0), {"tol": 0.0}, "tol must be positive"),
             ((1.0, 1.0, 1.0), {"tol": -1.0}, "tol must be positive"),
+            (("1", "1", "1"), {}, "e11 must be a real number"),
+            ((1.0, Decimal(1), 1.0), {}, "e12 must be a real number"),
+            ((1.0, 1.0, b"1"), {}, "e21 must be a real number"),
+            ((1.0, 1.0, 1.0), {"tol": "0.1"}, "tol must be a real number"),
         ],
     )
     def test_rejects_non_finite_input(self, args, kwargs, message):
@@ -738,7 +749,7 @@ class TestLocalPolytope:
         assert not is_locally_realizable(1.5, 0, 0, 0)
 
     def test_rejects_non_numbers(self):
-        for bad in ("a", "1", "1/2", math.inf, -math.inf, math.nan):
+        for bad in ("a", "1", "1/2", b"1", Decimal("0.5"), math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match="real numbers"):
                 is_locally_realizable(bad, 0, 0, 0)
 

@@ -1,7 +1,9 @@
 """State construction, classification, and config-file parsing."""
 
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +44,11 @@ class TestSchmidtState:
         with pytest.raises(DomainError, match="deviates from 1"):
             SchmidtState(0.6, 0.81)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", None])
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), "x", None, "0.6", b"1", Decimal("0.6"),
+         pytest.param(10**400, id="huge-int")],
+    )
     def test_rejects_non_finite_coefficient(self, bad):
         with pytest.raises(DomainError):
             SchmidtState(bad, 0.8)
@@ -68,10 +74,16 @@ class TestMakeState:
         assert make_state(1.0 + 0.5 * ROUNDING_TOL).c1 == 1.0
         assert make_state(-0.5 * ROUNDING_TOL).c1 == 0.0
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize(
+        "bad", [-0.1, 1.1, float("nan"), "0.3", Decimal("0.3"), pytest.param(10**400, id="huge-int")]
+    )
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(DomainError):
             make_state(bad)
+
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32, np.longdouble])
+    def test_accepts_numpy_scalars(self, scalar):
+        assert make_state(scalar(0.25)) == make_state(0.25)
 
     @pytest.mark.parametrize("sign", [0, 2, 0.5, "plus"])
     def test_rejects_bad_sign(self, sign):
@@ -146,6 +158,20 @@ class TestMeasurementSetting:
             MeasurementSetting(float("inf"))
         with pytest.raises(DomainError):
             MeasurementSetting(0.0, float("nan"))
+
+    @pytest.mark.parametrize(
+        "beta,delta,message",
+        [
+            ("0.5", b"1", "beta must be a real number"),
+            (0.5, b"1", "delta must be a real number"),
+            (Decimal("0.5"), 0.0, "beta must be a real number"),
+            (0.5, 10**400, "delta must be finite"),
+        ],
+        ids=["str", "bytes", "decimal", "huge-int"],
+    )
+    def test_rejects_non_real(self, beta, delta, message):
+        with pytest.raises(DomainError, match=message):
+            MeasurementSetting(beta, delta)
 
 
 class TestExperimentConfig:

@@ -65,7 +65,7 @@ CONFIGS: dict[str, str | bytes] = {
 def _dyadic_stochastic() -> str:
     """40 segments on multiples of 1/4096, in 20 pairs of equal width with
     densities (0, 2), (0.5, 1.5) or (1, 1): the cumulative masses are
-    exact, and many fall on the edges of the sampler's lookup bins."""
+    exact."""
     halves = [4 + 7 * i + i * i % 13 for i in range(19)]
     halves.append(2048 - sum(halves))
     cuts = list(itertools.accumulate(w for w in halves for _ in (0, 1)))
@@ -87,6 +87,10 @@ CONFIGS["dyadic40.lhv"] = _dyadic_stochastic()
 CONFIGS["mixture16.lhv"] = "type = mixture\n" + "".join(
     f"weight_{''.join(label)} = {i + 1}/136\n"
     for i, label in enumerate(itertools.product("pm", repeat=4))
+)
+# A zero-weight assignment in the last outcome cell of every setting pair.
+CONFIGS["trailing_zero.lhv"] = (
+    "type = mixture\nweight_ppmm = 1/3\nweight_mmpp = 2/3\nweight_mmmm = 0\n"
 )
 
 PAIRS = ("11", "12", "21", "22")
@@ -148,12 +152,18 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
     out.append((["optimize"], ()))
     out.append((["optimize", "--c1sq-steps", "41", "--beta0-steps", "37"], ()))
     out.append((["verify"], ()))
+    # An empty path token is a missing file, as for probs --config ''.
+    out.append((["probs", "--config", ""], ()))
+    out.append((["inequality", "--config", ""], ()))
+    out.append((["scan", "--c1sq-steps", "3", "--beta0-steps", "3", "--out", ""], ()))
+    out.append((["lhv-sim", "--strategy", ""], ()))
     for strategy in ("mixture.lhv", "stochastic.lhv"):
         for seed in ("0", "7", "123456", "-1"):
             argv = ["lhv-sim", "--strategy", strategy, "--trials", "5000", "--seed", seed]
             out.append((argv, ()))
-    # The benchmark's trial count, through the sampler's lookup table.
-    for strategy in ("dyadic40.lhv", "mixture16.lhv"):
+    # The benchmark's trial count, on exact dyadic cell bounds, all 16
+    # assignments, and a zero-weight cell.
+    for strategy in ("dyadic40.lhv", "mixture16.lhv", "trailing_zero.lhv"):
         for seed in ("1", "2024"):
             argv = ["lhv-sim", "--strategy", strategy, "--trials", "250000", "--seed", seed]
             out.append((argv, ()))
@@ -161,7 +171,7 @@ def cases() -> list[tuple[list[str], tuple[str, ...]]]:
         if name.endswith(".cfg") and name not in ("solved.cfg", "pair.cfg", "phases.cfg"):
             out.append((["probs", "--config", name], ()))
         if name.endswith(".lhv") and name not in (
-            "mixture.lhv", "stochastic.lhv", "dyadic40.lhv", "mixture16.lhv"
+            "mixture.lhv", "stochastic.lhv", "dyadic40.lhv", "mixture16.lhv", "trailing_zero.lhv"
         ):
             out.append((["lhv-sim", "--strategy", name], ()))
     return out
