@@ -73,10 +73,11 @@ def _observable_index(particle: int, setting: int) -> int:
 # integer), and any weight past this bound is far outside the float range.
 _MAX_WEIGHT_EXPONENT = 1000
 
-# Largest trials_per_pair simulate accepts. A run peaks at about 16
-# bytes per trial (tracemalloc, 10**6 trials, stochastic or mixture): at
-# the cap, 160 MB and 0.3 s. The cap stays the documented lhv-sim limit
-# rather than growing with the memory freed.
+# Largest trials_per_pair simulate accepts. A run peaks at about 9 bytes
+# per trial (tracemalloc, 10**6 and 10**7 trials, stochastic or mixture):
+# one pair's uniforms and one comparison mask, so 90 MB at the cap. The
+# cap stays the documented lhv-sim limit rather than growing with the
+# memory freed.
 MAX_TRIALS = 10**7
 
 
@@ -162,6 +163,14 @@ class MixtureStrategy:
             raise DomainError(f"weights sum to {shown!r}, expected 1")
 
 
+def _real_float(value) -> float:
+    """float(value) of a numbers.Real; a str, bytes or Decimal, which
+    float() would also accept, raises TypeError."""
+    if not _is_real(value):
+        raise TypeError(f"not a real number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StochasticStrategy:
     """Piecewise-constant hidden-variable model on the unit interval.
@@ -177,9 +186,9 @@ class StochasticStrategy:
 
     def __post_init__(self) -> None:
         try:
-            points = tuple(float(p) for p in self.breakpoints)
-            densities = tuple(float(d) for d in self.densities)
-            responses = tuple(tuple(float(p) for p in row) for row in self.responses)
+            points = tuple(map(_real_float, self.breakpoints))
+            densities = tuple(map(_real_float, self.densities))
+            responses = tuple(tuple(map(_real_float, row)) for row in self.responses)
         except (TypeError, ValueError, OverflowError):
             raise DomainError(
                 "breakpoints, densities and response rows must be sequences of numbers"
@@ -400,6 +409,7 @@ def simulate(
         # of zero weight repeats a bound (after a trailing one it is
         # exactly 1.0), so it takes none.
         above = [trials, *(int(np.count_nonzero(u >= float(c / total))) for c in sums), 0]
+        del u  # freed before the next pair draws its own
         counts.append(tuple(a - b for a, b in zip(above, above[1:])))
     return TrialTally(trials_per_pair=trials, counts=tuple(counts))
 
@@ -428,24 +438,41 @@ def local_realism_forcing(e11: float, e12: float, e21: float, tol: float = BOUND
 # ---------- exact feasibility over the local polytope ----------
 
 
+def _integer_ratio(value) -> tuple[int, int]:
+    """A finite real number as (p, q), q > 0, with value = p/q exactly."""
+    if isinstance(value, (float, Fraction)):  # numpy.float64 is a float
+        return value.as_integer_ratio()
+    if isinstance(value, numbers.Integral):  # bool and numpy integers too
+        return int(value), 1
+    if not _is_real(value):
+        raise TypeError("not a real number")
+    return Fraction(value).as_integer_ratio()
+
+
 def is_locally_realizable(e11, e12, e21, e22) -> bool:
     """Whether a correlation quadruple is reachable by some local model.
 
     By Fine's theorem (A. Fine, PRL 48, 291 (1982)) the local
     correlation polytope has exactly 16 facets: the 8 bounds
     |e_kl| <= 1 and the 8 CHSH inequalities |S - 2 e_kl| <= 2, with
-    S = e11 + e12 + e21 + e22. Correlations must be numbers.Real (strings
-    are refused) and become Fractions exactly, so there is no tolerance.
+    S = e11 + e12 + e21 + e22. Correlations must be finite numbers.Real
+    (strings, bytes and Decimals are refused), and every one is a ratio
+    p/q of integers. Scaled to the common denominator L of the four,
+    e_kl = n_kl / L, the facets become the integer comparisons
+    |n_kl| <= L and |N - 2 n_kl| <= 2L with N the sum of the n_kl:
+    exact, with no tolerance.
     """
-    values = (e11, e12, e21, e22)
     try:
-        if not all(map(_is_real, values)):
-            raise TypeError("not a real number")
-        target = [Fraction(v) for v in values]
+        (p1, q1), (p2, q2), (p3, q3), (p4, q4) = map(_integer_ratio, (e11, e12, e21, e22))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError("correlations must be finite real numbers") from exc
-    total = sum(target)
-    return all(abs(e) <= 1 and abs(total - 2 * e) <= 2 for e in target)
+    common = math.lcm(q1, q2, q3, q4)
+    scaled = (p1 * (common // q1), p2 * (common // q2), p3 * (common // q3), p4 * (common // q4))
+    total = sum(scaled)
+    for n in scaled:
+        if abs(n) > common or abs(total - 2 * n) > 2 * common:
+            return False
+    return True
 
 
 # ---------- strategy files (key = value text) ----------

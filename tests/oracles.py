@@ -10,11 +10,13 @@ arithmetic with square roots only. A piecewise LHV model's assignment
 weights are summed here one segment at a time in plain Python, and each
 trial's outcome cell is found by its own binary search, where the
 package multiplies segment arrays and counts the draws past each cell
-bound. Nothing here imports hardylab.
+bound. Binomial tail bounds on a cell's count are summed from the exact
+mass function. Nothing here imports hardylab.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, combinations, product
@@ -169,16 +171,13 @@ def reference_assignment_weights(strategy):
     return weights
 
 
-def reference_tally(strategy, trials, seed):
-    """Per-trial seeded counts of a strategy, in (pair, outcome) order.
+def reference_cells(strategy):
+    """A strategy's cell weights, in (pair, outcome) order.
 
     Reads only the strategy's public data: its mixture components, or the
     assignment weights its breakpoints, densities and response rows
     induce, in product((1, -1), repeat=4) order. Per pair, the weights
-    are summed into the four outcome cells in their own arithmetic, and
-    one uniform per trial, on the pair's own
-    SeedSequence(seed, spawn_key=(pair_index,)) stream, picks the cell
-    whose interval of the normalized running sums holds it.
+    are summed into the four outcome cells in their own arithmetic.
     """
     if hasattr(strategy, "components"):
         components = [(w, (a.a1, a.a2, a.b1, a.b2)) for w, a in strategy.components]
@@ -186,16 +185,52 @@ def reference_tally(strategy, trials, seed):
         weights = reference_assignment_weights(strategy)
         components = list(zip(weights, product((1, -1), repeat=4)))
     rows = []
-    for index, (k, l) in enumerate(PAIRS):
+    for k, l in PAIRS:
         cells = [0] * 4
         for weight, signs in components:
             cells[OUTCOMES.index((signs[k - 1], signs[1 + l]))] += weight
+        rows.append(cells)
+    return rows
+
+
+def reference_tally(strategy, trials, seed):
+    """Per-trial seeded counts of a strategy, in (pair, outcome) order.
+
+    Per pair, one uniform per trial, on the pair's own
+    SeedSequence(seed, spawn_key=(pair_index,)) stream, picks the cell
+    whose interval of the normalized running sums of reference_cells
+    holds it.
+    """
+    rows = []
+    for index, cells in enumerate(reference_cells(strategy)):
         running = list(accumulate(cells))
         bounds = np.array([float(c / running[-1]) for c in running[:-1]])
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         cell = np.searchsorted(bounds, rng.random(trials), side="right")
         rows.append(tuple(int(c) for c in np.bincount(cell, minlength=4)))
     return tuple(rows)
+
+
+def binomial_interval(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """The narrowest (lo, hi) with P(X < lo) <= alpha/2 and
+    P(X > hi) <= alpha/2, X ~ Binomial(n, p).
+
+    Each tail is summed from the exact probability mass function, taken
+    in log space, with no normal approximation.
+    """
+    if p <= 0:
+        return 0, 0
+    if p >= 1:
+        return n, n
+    k = np.arange(n + 1)
+    # log C(n, k) as the running sum of log((n - j) / (j + 1)), j < k.
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log((n - k[:-1]) / (k[:-1] + 1)))))
+    pmf = np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+    at_most = np.cumsum(pmf)  # P(X <= k)
+    at_least = np.cumsum(pmf[::-1])  # P(X >= n - j) at index j
+    lo = int(np.argmax(at_most > alpha / 2))
+    hi = n - int(np.argmax(at_least > alpha / 2))
+    return lo, hi
 
 
 # ---------- the maximal Hardy probability ----------

@@ -3,6 +3,7 @@ the forcing argument, polytope membership, and strategy-file parsing."""
 
 import math
 import pickle
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -29,8 +30,10 @@ from hardylab.lhv import (
 from hardylab.qstate import DomainError
 from oracles import (
     CORRELATION_VERTICES,
+    binomial_interval,
     random_local_mixture,
     reference_assignment_weights,
+    reference_cells,
     reference_tally,
     vertex_hull_membership,
 )
@@ -42,6 +45,37 @@ ANTICORRELATED = MixtureStrategy(
 )
 
 grid_values = st.integers(min_value=-10, max_value=10).map(lambda k: Fraction(k, 8))
+
+# Correlations in [-1.125, 1.125] for the polytope test: floats k / 2**m,
+# exact in binary, and Fractions whose denominators differ.
+dyadic_floats = st.integers(0, 12).flatmap(
+    lambda m: st.integers(-(9 * 2**m // 8), 9 * 2**m // 8).map(lambda k: k / 2**m)
+)
+mixed_fractions = st.fractions(min_value=-1.125, max_value=1.125, max_denominator=30)
+
+
+@st.composite
+def facet_boundary_quadruples(draw):
+    """A quadruple on one of Fine's 16 facet hyperplanes, |e_kl| = 1 or
+    |S - 2 e_kl| = 2, in dyadic floats or Fractions; sometimes one entry
+    is then moved one ulp (as a float) off the hyperplane."""
+    values = draw(st.lists(st.one_of(dyadic_floats, mixed_fractions), min_size=4, max_size=4))
+    facet, solved = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    if facet == 4:
+        values[solved] = draw(st.sampled_from((1.0, -1.0)))
+    else:
+        # sum_i c_i e_i = 2 sign with c = (1, 1, 1, 1) but c_facet = -1,
+        # sign that of the nearer facet of the pair.
+        coefficients = [1, 1, 1, 1]
+        coefficients[facet] = -1
+        rest = sum(c * Fraction(v) for i, (c, v) in enumerate(zip(coefficients, values)) if i != solved)
+        sign = 1 if rest >= 0 else -1
+        exact = (2 * sign - rest) / coefficients[solved]
+        values[solved] = float(exact) if float(exact) == exact else exact
+    nudged, direction = draw(st.integers(0, 3)), draw(st.sampled_from((0, math.inf, -math.inf)))
+    if direction:
+        values[nudged] = math.nextafter(float(values[nudged]), direction)
+    return tuple(values)
 
 # Strategy-file text: arbitrary text, or a valid file with up to three
 # keys set to awkward values (or added).
@@ -344,6 +378,21 @@ class TestStochasticStrategy:
         with pytest.raises(DomainError, match=message):
             StochasticStrategy(**kwargs)
 
+    @pytest.mark.parametrize("kind", [str, bytes, Decimal], ids=["str", "bytes", "Decimal"])
+    @pytest.mark.parametrize(
+        "build,text",
+        [
+            (lambda v: StochasticStrategy((0.0, v, 1.0), (1.0, 1.0), ((0.5,) * 4,) * 2), "0.5"),
+            (lambda v: StochasticStrategy((0.0, 1.0), (v,), ((0.5,) * 4,)), "1"),
+            (lambda v: StochasticStrategy((0.0, 1.0), (1.0,), ((0.5, 0.5, v, 0.5),)), "0.25"),
+        ],
+        ids=["breakpoints", "densities", "responses"],
+    )
+    def test_refuses_non_real_entries(self, build, text, kind):
+        build(float(text))  # the same entry as a float builds a valid model
+        with pytest.raises(DomainError, match="must be sequences of numbers"):
+            build(text.encode() if kind is bytes else kind(text))
+
     @pytest.mark.parametrize(
         "segment,particle,setting",
         [(0, 0, 1), (0, 1, 3), (0, 3, 1), (0, "1", 1), (-1, 1, 1), (2, 1, 1), (0.0, 1, 1)],
@@ -519,6 +568,21 @@ class TestSimulate:
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             simulate(ANTICORRELATED, 10, seed=seed)
 
+    @pytest.mark.parametrize("strategy", [ANTICORRELATED, COIN], ids=["mixture", "stochastic"])
+    def test_peak_memory_per_trial(self, strategy):
+        # One pair's uniforms (8 bytes a trial) and one comparison mask (1
+        # byte) are alive at a time; a previous pair's array kept alive
+        # while the next one draws would make it 16.
+        trials = 10**6
+        simulate(strategy, 10, seed=0)  # imports and the induced mixture
+        tracemalloc.start()
+        try:
+            simulate(strategy, trials, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / trials < 12
+
 
 def _sampler_strategies():
     """Mixtures of 1 to 16 assignments, some weights zero, and stochastic
@@ -681,6 +745,32 @@ class TestTableSampler:
                     assert tally.count(pair, outcome) == 0
 
 
+class TestSamplerDistribution:
+    """simulate's tallies follow each cell's probability: a check that
+    holds for any correct sampler, not only for simulate's algorithm."""
+
+    TRIALS = 50_000
+    SEEDS = (1, 2, 3)
+    # A correct sampler's count of one cell falls outside its two-sided
+    # binomial bound with probability at most ALPHA. A test makes 3 seeds
+    # x 16 cells = 48 such checks, so it fails a correct sampler with
+    # probability at most 4.8e-8.
+    ALPHA = 1e-9
+
+    @pytest.mark.parametrize("name", list(SAMPLER_STRATEGIES))
+    def test_cell_counts_lie_within_binomial_bounds(self, name):
+        strategy = SAMPLER_STRATEGIES[name]
+        bounds = [
+            [binomial_interval(self.TRIALS, float(c / sum(cells)), self.ALPHA) for c in cells]
+            for cells in reference_cells(strategy)
+        ]
+        for seed in self.SEEDS:
+            counts = simulate(strategy, self.TRIALS, seed).counts
+            for pair, row, row_bounds in zip(PAIR_ORDER, counts, bounds):
+                for outcome, count, (lo, hi) in zip(OUTCOME_ORDER, row, row_bounds):
+                    assert lo <= count <= hi, (seed, pair, outcome)
+
+
 class TestLocalRealismForcing:
     def test_positive_family(self):
         assert local_realism_forcing(1.0, 1.0, 1.0) == 1
@@ -765,6 +855,24 @@ class TestLocalPolytope:
         assert is_locally_realizable(e11, e12, e21, e22) == vertex_hull_membership(
             e11, e12, e21, e22
         )
+
+    @given(
+        quad=st.one_of(
+            st.tuples(*[dyadic_floats] * 4),
+            st.tuples(*[mixed_fractions] * 4),
+            facet_boundary_quadruples(),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(quad=(0.5, 0.5, 0.5, -0.5))  # on the facet S - 2 e22 = 2
+    @example(quad=(0.5, 0.5, 0.5, math.nextafter(-0.5, -1)))  # one ulp beyond it
+    @example(quad=(1.0, 0.0, 0.0, -1.0))  # on two facets, |e| = 1 and S - 2 e22 = 2
+    # Outside, by |e21| <= 1 and by S - 2 e22 <= 2, only over a common
+    # denominator that the last denominators enter.
+    @example(quad=(0, 0, Fraction(5, 3), 0))
+    @example(quad=(Fraction(1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(-2, 3)))
+    def test_agrees_with_vertex_hull(self, quad):
+        assert is_locally_realizable(*quad) == vertex_hull_membership(*quad)
 
 
 class TestStrategyParsing:

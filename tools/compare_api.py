@@ -6,12 +6,15 @@ OLD_SRC and NEW_SRC are directories holding a `hardylab` package (for
 example the `src` directory of two checkouts). One child process per
 tree builds the same seeded configs: Hardy-solved ones for every variant
 and random full experiments with coefficient signs and phases. Each
-config goes through correlation_set, evaluate, delta_from_probabilities,
-check_hardy (all four variants), hardy_inequality_lhs_rhs and
-pair_distributions. The child prints one line per config with every
-float as `float.hex` (an exception prints its type and message), and the
-two streams are compared line by line. The exit status is 1 when any
-line differs.
+config goes through correlation_set, is_locally_realizable (of that
+set), evaluate, delta_from_probabilities, check_hardy (all four
+variants), hardy_inequality_lhs_rhs and pair_distributions. A block of as
+many seeded quadruples follows: dyadic floats, Fractions of mixed
+denominators, and points on a local-polytope facet or one ulp off it,
+each through is_locally_realizable. The child prints one line per config
+or quadruple with every float as `float.hex` (an exception prints its
+type and message), and the two streams are compared line by line. The
+exit status is 1 when any line differs.
 
     python3 tools/compare_api.py --emit N --seed S
 
@@ -27,9 +30,11 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 SHOWN = 5
+QUADRUPLE = "polytope "
 
 
 def _hex(value) -> str:
@@ -59,11 +64,50 @@ def _configs(hl, count: int, seed: int):
             )
 
 
+def _quadruples(count: int, seed: int):
+    """Seeded correlation quadruples in [-1.125, 1.125] for
+    is_locally_realizable: dyadic floats, Fractions, and dyadic points on
+    one of the 16 facets (|e| = 1 or |S - 2 e| = 2) with one entry moved
+    by an ulp or not."""
+    rng = random.Random(seed)
+
+    def dyadic() -> float:
+        scale = 2 ** rng.randint(0, 12)
+        return rng.randint(-(scale * 9 // 8), scale * 9 // 8) / scale
+
+    def fraction() -> Fraction:
+        q = rng.randint(1, 30)
+        return Fraction(rng.randint(-(q * 9 // 8), q * 9 // 8), q)
+
+    for index in range(count):
+        if index % 3 == 0:
+            yield tuple(dyadic() for _ in range(4))
+        elif index % 3 == 1:
+            yield tuple(fraction() for _ in range(4))
+        else:
+            quad = [dyadic() for _ in range(4)]
+            solved, facet = rng.randrange(4), rng.randrange(5)
+            if facet == 4:
+                quad[solved] = rng.choice((1.0, -1.0))
+            else:
+                coefficients = [1, 1, 1, 1]
+                coefficients[facet] = -1
+                rest = sum(c * q for i, (c, q) in enumerate(zip(coefficients, quad)) if i != solved)
+                sign = 1 if rest >= 0 else -1  # the nearer facet of the pair
+                quad[solved] = (2 * sign - rest) / coefficients[solved]
+            moved, direction = rng.randrange(4), rng.choice((-math.inf, None, math.inf))
+            if direction is not None:
+                quad[moved] = math.nextafter(quad[moved], direction)
+            yield tuple(quad)
+
+
 def _values(hl, config) -> list:
     values = [config.state.c1, config.state.c2]
     for setting in (config.d11, config.d12, config.d21, config.d22):
         values += (setting.beta, setting.delta)
-    values += hl.correlation_set(config).__dict__.values()
+    correlations = list(hl.correlation_set(config).__dict__.values())
+    values += correlations
+    values.append(hl.is_locally_realizable(*correlations))
     result = hl.evaluate(config)
     values += [result.delta, result.violated, *result.correlations.__dict__.values()]
     values.append(hl.delta_from_probabilities(config))
@@ -84,6 +128,12 @@ def emit(count: int, seed: int) -> None:
         except Exception as exc:  # a raise is an outcome to compare, not a crash
             line = f"{type(exc).__name__}: {exc}"
         print(f"{label} | {line}")
+    for quad in _quadruples(count, seed):
+        try:
+            line = repr(hl.is_locally_realizable(*quad))
+        except Exception as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        print(f"{QUADRUPLE}{' '.join(map(_hex, quad))} | {line}")
 
 
 def _child(src: Path, count: int, seed: int) -> subprocess.Popen:
@@ -107,18 +157,21 @@ def main() -> int:
         parser.error("OLD_SRC and NEW_SRC are required")
     old = _child(args.old_src.resolve(), args.count, args.seed)
     new = _child(args.new_src.resolve(), args.count, args.seed)
-    differing = lines = 0
+    lines = {"configs": 0, "quadruples": 0}
+    differing = dict.fromkeys(lines, 0)
     with old, new:
         for a, b in itertools.zip_longest(old.stdout, new.stdout):
-            lines += 1
+            kind = "quadruples" if (a or b).startswith(QUADRUPLE) else "configs"
+            lines[kind] += 1
             if a != b:
-                differing += 1
-                if differing <= SHOWN:
+                differing[kind] += 1
+                if sum(differing.values()) <= SHOWN:
                     print(f"DIFFERENT\n    old: {a!r}\n    new: {b!r}")
     codes = old.returncode, new.returncode
-    print(f"{differing} of {lines} configs differ; child exit codes {codes[0]}, {codes[1]}")
-    return 1 if differing or any(codes) or lines != args.count else 0
-
+    print(f"{differing['quadruples']} of {lines['quadruples']} polytope quadruples differ")
+    print(f"{differing['configs']} of {lines['configs']} configs differ; child exit codes {codes[0]}, {codes[1]}")
+    complete = lines["configs"] == lines["quadruples"] == args.count
+    return 1 if any(differing.values()) or any(codes) or not complete else 0
 
 if __name__ == "__main__":
     sys.exit(main())
